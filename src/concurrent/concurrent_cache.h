@@ -1,4 +1,4 @@
-// Thread-safe cache interface for the throughput/scalability experiments.
+// Thread-safe caches for the throughput/scalability experiments.
 //
 // The paper's motivation (§1, §2): each LRU hit updates six pointers under a
 // lock, while FIFO/CLOCK hits touch at most one small counter and need no
@@ -9,37 +9,40 @@
 //                           memcached-style design the paper argues against)
 //  * ShardedLruCache      — N LRU shards, each with its own mutex (the
 //                           common mitigation)
-//  * ConcurrentClockCache — lock-free hit path (striped atomic index + one
-//                           relaxed RMW on a reference counter); misses
-//                           batch behind one eviction mutex
-//  * ConcurrentS3FifoCache— same hit path over S3-FIFO's two queues + ghost
-//  * ConcurrentQdLpFifo   — QD-LP-FIFO (probationary FIFO + ghost + 2-bit
-//                           CLOCK main) as a concurrent cache
+//  * ConcurrentClockCache, ConcurrentS3FifoCache, ConcurrentQdLpFifo —
+//                           CLOCK, S3-FIFO and QD-LP-FIFO as Regions types
+//                           behind one DomainCache skeleton
+//                           (domain_cache.h): a lock-free hit path, misses
+//                           batched behind sharded eviction domains
 //
 // Get() is get-or-admit: returns true on hit, and on miss admits the id
 // (evicting if needed), mirroring EvictionPolicy::Access.
 //
-// ConcurrentCache shares the CacheObservable surface (name/capacity/Stats/
-// ApproxMetadataBytes/CheckInvariants) with the sequential EvictionPolicy
-// hierarchy, so the bench JSON writer and the stats report consume one type.
-// Telemetry in the lock-free caches is kept in striped, cache-line-exclusive
-// relaxed atomics (src/obs/concurrent_counters.h); lock-based caches count
-// under the locks they already hold. There is deliberately NO AccessEventSink
-// on this hierarchy: a virtual call per event would poison the lock-free hit
-// path the paper's throughput argument rests on — Stats() snapshots are the
+// ConcurrentCache refines Cache (src/obs/cache.h), so every engine is
+// served, replayed and observed through the one interface with no adapter:
+// this class gives the Cache face its metadata semantics in terms of
+// Get/Admit/Remove, and DomainCache overrides Get/Set to move bytes when
+// it owns a value store. Telemetry in the lock-free caches is kept in
+// striped, cache-line-exclusive relaxed atomics
+// (src/obs/concurrent_counters.h); lock-based caches count under the locks
+// they already hold. There is deliberately NO AccessEventSink on this
+// hierarchy: a virtual call per event would poison the lock-free hit path
+// the paper's throughput argument rests on — Stats() snapshots are the
 // concurrent observability surface.
 
 #ifndef QDLP_SRC_CONCURRENT_CONCURRENT_CACHE_H_
 #define QDLP_SRC_CONCURRENT_CONCURRENT_CACHE_H_
 
-#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <string_view>
 
-#include "src/obs/cache_observable.h"
+#include "src/obs/cache.h"
 #include "src/trace/trace.h"
 
 namespace qdlp {
 
-class ConcurrentCache : public CacheObservable {
+class ConcurrentCache : public Cache {
  public:
   // Returns true on hit; admits on miss. Thread-safe.
   virtual bool Get(ObjectId id) = 0;
@@ -48,8 +51,8 @@ class ConcurrentCache : public CacheObservable {
   // Get(), except that a miss blocks on the home-domain lock (exactly like
   // Remove()) instead of deferring to the best-effort insert buffers — so
   // the id is resident when the call returns (until a later eviction or
-  // removal). Serving writes (cache_api Set) route here: a SET must not
-  // silently admit nothing under contention. Uncontended, this is
+  // removal). Serving writes (Set) route here: a SET must not silently
+  // admit nothing under contention. Uncontended, this is
   // indistinguishable from Get().
   virtual bool Admit(ObjectId id) = 0;
 
@@ -61,6 +64,25 @@ class ConcurrentCache : public CacheObservable {
   // lock-free hit path exactly like an eviction does. Removals count as
   // evictions in Stats().
   virtual bool Remove(ObjectId id) = 0;
+
+  // The Cache face with metadata semantics: bytes and ttl have nowhere to
+  // live, so Get is get-or-admit and Set only ensures residency.
+  bool Get(ObjectId key, std::string* value) override {
+    if (value != nullptr) {
+      value->clear();
+    }
+    return Get(key);
+  }
+  SetStatus Set(ObjectId key, std::string_view value,
+                uint32_t ttl_seconds) override {
+    (void)value;
+    (void)ttl_seconds;
+    Admit(key);
+    return SetStatus::kOk;
+  }
+  bool Delete(ObjectId key) override { return Remove(key); }
+  bool GetOrAdmit(ObjectId key) override { return Get(key); }
+  bool thread_safe() const override { return true; }
 
   // CacheObservable reminders (see src/obs/cache_observable.h):
   //  * Stats() must be safe to call concurrently with Get() — sum striped

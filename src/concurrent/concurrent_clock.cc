@@ -3,273 +3,92 @@
 #include <algorithm>
 
 #include "src/util/check.h"
-#include "src/util/thread_ordinal.h"
 
 namespace qdlp {
 
-ConcurrentClockCache::ConcurrentClockCache(size_t capacity, int bits,
-                                           size_t num_stripes,
-                                           size_t num_shards)
-    : capacity_(capacity),
-      max_counter_(static_cast<uint8_t>((1u << bits) - 1)),
-      // Stripes >= shards so every eviction domain owns a disjoint stripe
-      // set and the index's per-stripe writer serialization holds under
-      // the per-shard mutexes (see eviction_domains.h).
-      index_(capacity, std::max(num_stripes, num_shards)),
-      slots_(capacity),
-      domains_(capacity, num_shards, /*min_capacity_per_shard=*/1),
-      shard_state_(domains_.num_shards()) {
-  QDLP_CHECK(capacity >= 1);
-  QDLP_CHECK(capacity <= 0x7FFFFFFFu);  // index values are 32-bit slot ids
+ClockRegions::ClockRegions(DomainCore& core, int bits)
+    : ClockRegions(core, static_cast<uint8_t>((1u << bits) - 1),
+                   /*count_laps=*/true, [](size_t share) { return share; }) {
   QDLP_CHECK(bits >= 1 && bits <= 8);
-  QDLP_CHECK(index_.num_stripes() >= domains_.num_shards());
 }
 
-void ConcurrentClockCache::CheckInvariants() {
-  // Drain every domain first so buffered misses are settled, then hold all
-  // shard locks for the global index agreement checks. Safe to block here:
-  // the miss path only ever try-locks, so no lock-order cycle exists.
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    domains_.shard(s).mu.lock();
-    DrainShardLocked(s, /*helping=*/false);
+ClockRegions::ClockRegions(DomainCore& core, uint8_t max_counter,
+                           bool count_laps,
+                           size_t (*ring_share)(size_t share))
+    : core_(core),
+      max_counter_(max_counter),
+      count_laps_(count_laps),
+      shards_(core.domains.num_shards()) {
+  size_t total = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].base = total;
+    shards_[s].capacity = ring_share(core.domains.shard(s).capacity);
+    QDLP_CHECK(shards_[s].capacity >= 1);
+    total += shards_[s].capacity;
   }
+  slots_ = std::vector<Slot>(total);
+}
+
+void ClockRegions::CheckShard(size_t s) const {
+  const ShardState& state = shards_[s];
+  QDLP_CHECK(state.used <= state.capacity);
+  QDLP_CHECK(state.hand < state.capacity);
   size_t occupied = 0;
-  for (size_t s = 0; s < domains_.num_shards(); ++s) {
-    const EvictionDomain& domain = domains_.shard(s);
-    const ShardState& state = shard_state_[s];
-    QDLP_CHECK(state.used <= domain.capacity);
-    QDLP_CHECK(state.hand < std::max<size_t>(1, domain.capacity));
-    for (size_t i = 0; i < domain.capacity; ++i) {
-      const Slot& slot = slots_[domain.base + i];
-      if (i >= state.used) {
-        // Never-admitted slots beyond the bump allocator are unoccupied.
-        QDLP_CHECK(!slot.occupied);
-        continue;
-      }
-      if (slot.occupied) {
-        ++occupied;
-        QDLP_CHECK(slot.counter.load(std::memory_order_relaxed) <=
-                   max_counter_);
-        // Resident ids hash to the shard whose region stores them.
-        QDLP_CHECK(domains_.ShardOf(slot.id) == s);
-      }
-    }
-  }
-  // Each index entry points at an occupied slot holding that id, and the
-  // index covers every occupied slot exactly once.
-  size_t indexed = 0;
-  index_.ForEach([&](ObjectId id, uint32_t slot) {
-    QDLP_CHECK(slot < capacity_);
-    QDLP_CHECK(slots_[slot].occupied);
-    QDLP_CHECK(slots_[slot].id == id);
-    ++indexed;
-  });
-  QDLP_CHECK(indexed == occupied);
-  QDLP_CHECK(index_.size() == occupied);
-  index_.CheckInvariants();
-  for (size_t s = domains_.num_shards(); s-- > 0;) {
-    domains_.shard(s).mu.unlock();
-  }
-}
-
-size_t ConcurrentClockCache::ApproxMetadataBytes() const {
-  return index_.MemoryBytes() + slots_.capacity() * sizeof(Slot) +
-         domains_.MemoryBytes() + counters_.MemoryBytes();
-}
-
-CacheStats ConcurrentClockCache::Stats() const {
-  CacheStats stats = counters_.Snapshot();
-  stats.size = index_.size();
-  return stats;
-}
-
-bool ConcurrentClockCache::Get(ObjectId id) {
-  // Hit path: one probe plus one relaxed RMW — no locking of any kind.
-  uint32_t slot_index;
-  if (index_.Find(id, &slot_index)) {
-    std::atomic<uint8_t>& counter = slots_[slot_index].counter;
-    const uint8_t current = counter.load(std::memory_order_relaxed);
-    if (current < max_counter_) {
-      // Racy saturating bump: a lost increment under contention only costs
-      // a reference bit, never correctness.
-      counter.store(current + 1, std::memory_order_relaxed);
-    }
-    counters_.Add(ConcurrentStatsCounters::kHits);
-    return true;
-  }
-  // Miss path. Uncontended (and always, single-threaded): take the home
-  // domain's lock, drain its buffered misses, admit. Contended: buffer the
-  // id for the current holder to admit and return without blocking.
-  // Hit/miss is counted where the outcome is known: the locked re-probe
-  // can discover the object was admitted by another thread (or an earlier
-  // buffered copy of this miss) after the lock-free probe above failed,
-  // and that Get is a hit to its caller.
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  bool hit;
-  if (domain.mu.try_lock()) {
-    {
-      std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-      counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-      DrainShardLocked(s, /*helping=*/false);
-      hit = !AdmitLocked(s, id);
-      counters_.Add(hit ? ConcurrentStatsCounters::kHits
-                        : ConcurrentStatsCounters::kMisses);
-    }
-    // With the home domain settled (and its lock released), one pass over
-    // backlogged foreign domains; no-op when num_shards == 1.
-    HelpDrainOthers(s);
-    return hit;
-  }
-  counters_.Add(ConcurrentStatsCounters::kLockFailures);
-  counters_.Add(ConcurrentStatsCounters::kMisses);
-  if (domain.buffers.TryPush(id)) {
-    domain.pending.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Buffers full while the lock is held elsewhere — on an oversubscribed
-  // machine that usually means the lock holder was preempted mid-drain.
-  // Blocking here would convoy every missing thread behind the sleeping
-  // holder, so admission is best-effort instead: drop this one (the object
-  // is buffered or admitted on its next miss) and keep Get() non-blocking.
-  counters_.Add(ConcurrentStatsCounters::kBufferDrops);
-  return false;
-}
-
-bool ConcurrentClockCache::Admit(ObjectId id) {
-  // The hit path is Get()'s, lock-free. A miss takes the home-domain lock
-  // blocking (like Remove) rather than best-effort buffering, so the id is
-  // resident on return; uncontended this is byte-identical to Get().
-  uint32_t slot_index;
-  if (index_.Find(id, &slot_index)) {
-    std::atomic<uint8_t>& counter = slots_[slot_index].counter;
-    const uint8_t current = counter.load(std::memory_order_relaxed);
-    if (current < max_counter_) {
-      counter.store(current + 1, std::memory_order_relaxed);
-    }
-    counters_.Add(ConcurrentStatsCounters::kHits);
-    return true;
-  }
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  std::lock_guard<std::mutex> lock(domain.mu);
-  counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-  DrainShardLocked(s, /*helping=*/false);
-  const bool hit = !AdmitLocked(s, id);
-  counters_.Add(hit ? ConcurrentStatsCounters::kHits
-                    : ConcurrentStatsCounters::kMisses);
-  return hit;
-}
-
-bool ConcurrentClockCache::Remove(ObjectId id) {
-  // Blocking lock, unlike the miss path's try_lock: removal is rare
-  // (invalidation, TTL reap, a DELETE request) and must not be best-effort.
-  // Safe to block — lock holders never wait on other locks.
-  const size_t s = domains_.ShardOf(id);
-  EvictionDomain& domain = domains_.shard(s);
-  std::lock_guard<std::mutex> lock(domain.mu);
-  counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-  // Settle buffered misses first so a just-buffered admission of this very
-  // id cannot resurrect it right after we return.
-  DrainShardLocked(s, /*helping=*/false);
-  uint32_t slot_index;
-  if (!index_.Find(id, &slot_index)) {
-    return false;
-  }
-  index_.Erase(id);
-  slots_[slot_index].occupied = false;
-  counters_.Add(ConcurrentStatsCounters::kEvictions);
-  return true;
-}
-
-void ConcurrentClockCache::DrainShardLocked(size_t s, bool helping) {
-  EvictionDomain& domain = domains_.shard(s);
-  domain.helper_drain = helping;
-  const size_t drained =
-      domain.buffers.Drain([&](uint64_t id) { AdmitLocked(s, id); });
-  domain.helper_drain = false;
-  // Reset, not subtract: a push racing this store is under-counted, which
-  // only delays the next best-effort helping pass.
-  domain.pending.store(0, std::memory_order_relaxed);
-  counters_.AddDrainBatch(drained);
-}
-
-void ConcurrentClockCache::HelpDrainOthers(size_t miss_shard) {
-  const size_t shards = domains_.num_shards();
-  if (shards == 1) {
-    return;
-  }
-  // Thread-ordinal affinity: each thread starts its scan at "its" shard so
-  // concurrent helpers fan out instead of convoying on the same backlog.
-  const size_t start = ThreadOrdinal() & (shards - 1);
-  for (size_t i = 0; i < shards; ++i) {
-    const size_t t = (start + i) & (shards - 1);
-    if (t == miss_shard) {
+  for (size_t i = 0; i < state.capacity; ++i) {
+    const Slot& slot = slots_[state.base + i];
+    if (i >= state.used) {
+      // Never-admitted slots beyond the bump allocator are unoccupied.
+      QDLP_CHECK(!slot.occupied);
       continue;
     }
-    EvictionDomain& domain = domains_.shard(t);
-    if (domain.pending.load(std::memory_order_relaxed) <
-        domains_.help_threshold()) {
-      continue;
+    if (slot.occupied) {
+      ++occupied;
+      QDLP_CHECK(slot.counter.load(std::memory_order_relaxed) <=
+                 max_counter_);
+      core_.CheckResident(s, slot.id, static_cast<uint32_t>(state.base + i));
     }
-    if (!domain.mu.try_lock()) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-    counters_.Add(ConcurrentStatsCounters::kLockAcquisitions);
-    DrainShardLocked(t, /*helping=*/true);
   }
+  QDLP_CHECK(occupied == state.count);
 }
 
-bool ConcurrentClockCache::AdmitLocked(size_t s, ObjectId id) {
-  if (index_.Contains(id)) {
-    return false;  // another thread (or an earlier buffered copy) admitted it
-  }
-  EvictionDomain& domain = domains_.shard(s);
-  ShardState& state = shard_state_[s];
-  size_t slot_index;
-  if (state.used < domain.capacity) {
-    slot_index = domain.base + state.used++;
-  } else {
-    slot_index = EvictOneLocked(s);
-  }
+void ClockRegions::Insert(size_t s, ObjectId id, uint32_t from_cell) {
+  ShardState& state = shards_[s];
+  const size_t slot_index = state.used < state.capacity
+                                ? state.base + state.used++
+                                : EvictOne(s);
   Slot& slot = slots_[slot_index];
   slot.id = id;
   slot.counter.store(0, std::memory_order_relaxed);
   slot.occupied = true;
-  index_.Insert(id, static_cast<uint32_t>(slot_index));
-  counters_.Add(ConcurrentStatsCounters::kInserts);
-  return true;
+  ++state.count;
+  const uint32_t loc = static_cast<uint32_t>(slot_index);
+  core_.Place(id, loc, CellOf(loc), from_cell);
 }
 
-size_t ConcurrentClockCache::EvictOneLocked(size_t s) {
-  EvictionDomain& domain = domains_.shard(s);
-  ShardState& state = shard_state_[s];
+size_t ClockRegions::EvictOne(size_t s) {
+  ShardState& state = shards_[s];
   while (true) {
-    Slot& slot = slots_[domain.base + state.hand];
-    const size_t current = domain.base + state.hand;
-    state.hand = (state.hand + 1) % domain.capacity;
+    const size_t current = state.base + state.hand;
+    Slot& slot = slots_[current];
+    state.hand = (state.hand + 1) % state.capacity;
     if (!slot.occupied) {
       return current;
     }
     const uint8_t counter = slot.counter.load(std::memory_order_relaxed);
     if (counter > 0) {
-      // Lazy promotion: the reinsertion lap, counted like sequential CLOCK.
       slot.counter.store(counter - 1, std::memory_order_relaxed);
-      counters_.Add(ConcurrentStatsCounters::kPromotions);
+      if (count_laps_) {
+        core_.counters.Add(ConcurrentStatsCounters::kPromotions);
+      }
       continue;
     }
-    // Erase from the index first: readers stop finding the victim before
-    // its slot is recycled. A reader that raced and already fetched the
-    // slot id at worst bumps the successor's counter once — benign.
-    index_.Erase(slot.id);
+    core_.Evict(s, slot.id, CellOf(static_cast<uint32_t>(current)));
     slot.occupied = false;
-    counters_.Add(ConcurrentStatsCounters::kEvictions);
-    if (domain.helper_drain) {
-      counters_.Add(ConcurrentStatsCounters::kCrossShardDemotions);
-    }
+    --state.count;
     return current;
   }
 }
+
+template class DomainCache<ClockRegions>;
 
 }  // namespace qdlp

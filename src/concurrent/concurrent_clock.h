@@ -1,19 +1,13 @@
-// CLOCK with a truly lock-free hit path and sharded eviction domains.
+// CLOCK with a truly lock-free hit path and sharded eviction domains: the
+// ClockRegions below behind the DomainCache skeleton (domain_cache.h).
 //
-// The index is a striped open-addressing table of atomic id slots
-// (striped_index.h): a hit is one hash, a short probe, and a single
-// relaxed atomic RMW on the object's reference counter — no mutex, no
-// shared_mutex, no reader registration. This is the "at most one metadata
-// update, no locking" property of Lazy Promotion (§3, §4) made literal.
-//
-// Misses go through sharded eviction domains (eviction_domains.h): the
-// CLOCK ring is partitioned into S hash-selected regions, each with its
-// own mutex, hand, bump allocator, and BP-Wrapper insert buffers. A
-// missing thread try-locks its id's home domain; on failure it buffers
-// the id in that domain's MPSC rings and returns; the next holder drains
-// the batch under its single acquisition, then makes one helping pass
-// over backlogged foreign domains. Misses to different domains admit and
-// evict fully in parallel.
+// A hit is one hash, a short probe of the striped atomic index, and a
+// single relaxed atomic RMW on the object's reference counter — no mutex,
+// no shared_mutex, no reader registration. This is the "at most one
+// metadata update, no locking" property of Lazy Promotion (§3, §4) made
+// literal. The CLOCK ring is partitioned into S hash-selected regions,
+// each with its own hand and bump allocator under its domain's mutex; a
+// location is a global ring slot, and so is its value cell.
 //
 // Driven from a single thread with num_shards == 1 (the default) the
 // behavior is exactly the sequential CLOCK spec (the try_lock always
@@ -21,55 +15,60 @@
 // tests pin this against RefClock. With more shards each domain is an
 // independent CLOCK over its hash partition — still deterministic
 // single-threaded, pinned against per-shard sequential references.
+//
+// The same ring is QD-LP-FIFO's main cache (concurrent_qdlp_fifo.h).
 
 #ifndef QDLP_SRC_CONCURRENT_CONCURRENT_CLOCK_H_
 #define QDLP_SRC_CONCURRENT_CONCURRENT_CLOCK_H_
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
-#include "src/concurrent/concurrent_cache.h"
-#include "src/concurrent/eviction_domains.h"
-#include "src/concurrent/striped_index.h"
-#include "src/obs/concurrent_counters.h"
+#include "src/concurrent/domain_cache.h"
 
 namespace qdlp {
 
-class ConcurrentClockCache : public ConcurrentCache {
+class ClockRegions {
  public:
-  // `num_shards` eviction domains (rounded/clamped by EvictionDomains);
-  // the index gets max(num_stripes, shard count) stripes so every domain
-  // owns a disjoint stripe set (see eviction_domains.h).
-  ConcurrentClockCache(size_t capacity, int bits = 1, size_t num_stripes = 16,
-                       size_t num_shards = 1);
+  static constexpr std::string_view kName = "concurrent-clock";
+  static constexpr size_t kMinShare = 1;
 
-  bool Get(ObjectId id) override;
-  // Like Get(), but a miss blocks on the home-domain mutex instead of
-  // deferring to the insert buffers: admission is guaranteed on return.
-  bool Admit(ObjectId id) override;
-  // Unlinks `id` under its home-domain mutex (blocking — removal is a
-  // control operation, not a hot-path Get). Counts as an eviction.
-  bool Remove(ObjectId id) override;
-  size_t capacity() const override { return capacity_; }
-  std::string_view name() const override { return "concurrent-clock"; }
+  // One ring region per domain share, counters of `bits` bits.
+  ClockRegions(DomainCore& core, int bits);
+  // Regions of ring_share(domain share) slots each. `count_laps` counts
+  // every counter decrement of the hand as a promotion (the sequential
+  // CLOCK's reinsertion lap).
+  ClockRegions(DomainCore& core, uint8_t max_counter, bool count_laps,
+               size_t (*ring_share)(size_t share));
 
-  // Flow counters come from striped thread-exclusive cells (lock-free to
-  // read); the occupancy field reads the index size (atomic). Safe
-  // concurrently with Get().
-  CacheStats Stats() const override;
-
-  size_t num_shards() const { return domains_.num_shards(); }
-  size_t ShardOf(ObjectId id) const { return domains_.ShardOf(id); }
-  // The shard's slice of the CLOCK ring (its capacity share).
-  size_t shard_capacity(size_t s) const { return domains_.shard(s).capacity; }
-
-  // Slot/index agreement and occupancy accounting under all shard mutexes.
-  void CheckInvariants() override;
-
-  size_t ApproxMetadataBytes() const override;
+  void Touch(uint32_t loc) {
+    std::atomic<uint8_t>& counter = slots_[loc].counter;
+    const uint8_t current = counter.load(std::memory_order_relaxed);
+    if (current < max_counter_) {
+      // Racy saturating bump: a lost increment under contention only costs
+      // a reference bit, never correctness.
+      counter.store(current + 1, std::memory_order_relaxed);
+    }
+  }
+  void Admit(size_t s, ObjectId id) { Insert(s, id, DomainCore::kNoCell); }
+  // Places `id` in shard s's region, evicting if it is full; `from_cell`
+  // as for DomainCore::Place.
+  void Insert(size_t s, ObjectId id, uint32_t from_cell);
+  // Advances the shard's hand to the next victim and evicts it; returns
+  // the freed (or never-reoccupied) global slot.
+  size_t EvictOne(size_t s);
+  void Unlink(size_t s, uint32_t loc) {
+    slots_[loc].occupied = false;
+    --shards_[s].count;
+  }
+  size_t Resident(size_t s) const { return shards_[s].count; }
+  void AddOccupancy(size_t, CacheStats*) const {}
+  void CheckShard(size_t s) const;
+  uint32_t CellOf(uint32_t loc) const { return loc; }
+  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
+  size_t capacity() const { return slots_.size(); }
 
  private:
   // Ring slot. Only `counter` is touched by concurrent readers (the
@@ -81,39 +80,33 @@ class ConcurrentClockCache : public ConcurrentCache {
     bool occupied = false;
   };
 
-  // Per-shard miss-path state, guarded by the shard's mutex. Slots_[base,
-  // base + capacity) is the shard's ring region; `hand` and `used` are
-  // offsets within it. Padded so neighboring shards' hand churn never
-  // shares a line.
+  // Per-shard ring region, guarded by the shard's mutex: slots_[base,
+  // base + capacity); `hand` and `used` are offsets within it. Padded so
+  // neighboring shards' hand churn never shares a line.
   struct alignas(64) ShardState {
-    size_t used = 0;  // bump allocator over the shard's region
+    size_t base = 0;
+    size_t capacity = 0;
+    size_t used = 0;  // bump allocator over the region
     size_t hand = 0;
+    size_t count = 0;  // occupied slots
   };
 
-  // All of the below run under the shard's mutex.
-  // Admits `id` (evicting if needed). Returns false if the id turned out
-  // to be already resident (raced admission).
-  bool AdmitLocked(size_t s, ObjectId id);
-  // Drains shard s's insert buffers; `helping` marks a cross-shard drain.
-  void DrainShardLocked(size_t s, bool helping);
-  // Finds the victim slot via the shard's clock hand; erases it from the
-  // index. Returns a global slot position.
-  size_t EvictOneLocked(size_t s);
-
-  // One thread-ordinal-affine pass over the other shards: try-lock and
-  // drain any domain whose buffered backlog crossed the help threshold.
-  void HelpDrainOthers(size_t miss_shard);
-
-  const size_t capacity_;
+  DomainCore& core_;
   const uint8_t max_counter_;
-
-  StripedAtomicIndex index_;  // id -> global ring slot
-  std::vector<Slot> slots_;   // the clock ring, partitioned by shard
-
-  EvictionDomains domains_;
-  std::vector<ShardState> shard_state_;
-  ConcurrentStatsCounters counters_;
+  const bool count_laps_;
+  std::vector<ShardState> shards_;
+  std::vector<Slot> slots_;  // the clock ring, partitioned by shard
 };
+
+class ConcurrentClockCache : public DomainCache<ClockRegions> {
+ public:
+  ConcurrentClockCache(size_t capacity, int bits = 1, size_t num_stripes = 16,
+                       size_t num_shards = 1)
+      : DomainCache(capacity, num_stripes, num_shards, QdlpValueOptions{},
+                    bits) {}
+};
+
+extern template class DomainCache<ClockRegions>;
 
 }  // namespace qdlp
 

@@ -1,6 +1,7 @@
 // QD-LP-FIFO — the paper's headline construction (§4, Fig 4) — as a
-// thread-safe cache with a truly lock-free hit path and sharded eviction
-// domains.
+// thread-safe cache: the QdlpRegions below behind the DomainCache skeleton
+// (domain_cache.h), which supplies the lock-free hit path, the sharded
+// miss protocol and the optional value store.
 //
 // Layout mirrors the sequential QdCache over a 2-bit CLOCK, partitioned
 // into S hash-selected eviction domains (eviction_domains.h):
@@ -11,15 +12,12 @@
 //   ghost      — per shard, metadata-only memory of quick-demoted ids, as
 //                large as the shard's main region (sharded_ghost.h)
 //
-// One striped atomic index (striped_index.h) maps id -> tagged GLOBAL
-// location (probation position or main slot); a hit is one lock-free
-// probe plus a single relaxed store (the accessed bit) or relaxed RMW
-// (the CLOCK counter) — lazy promotion's "at most one metadata update, no
-// locking" made literal, and entirely shard-oblivious. Misses — admission,
-// quick demotion, ghost resurrection, CLOCK eviction — serialize behind
-// the id's home-domain mutex with BP-Wrapper-style MPSC buffering exactly
-// as in concurrent_clock.h, so misses to different domains admit and
-// evict fully in parallel.
+// The main ring is concurrent CLOCK's ring (ClockRegions, 2-bit
+// counters). A location is a GLOBAL main slot or a tagged probation
+// position; a hit is one lock-free probe plus a single relaxed store (the
+// accessed bit) or relaxed RMW (the CLOCK counter) — lazy promotion's "at
+// most one metadata update, no locking" made literal, and entirely
+// shard-oblivious.
 //
 // Driven from a single thread with num_shards == 1 (the default) this
 // class is request-for-request identical to MakePolicy("qd-lp-fifo") —
@@ -32,107 +30,56 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/concurrent/concurrent_cache.h"
-#include "src/concurrent/eviction_domains.h"
-#include "src/concurrent/sharded_ghost.h"
-#include "src/concurrent/striped_index.h"
-#include "src/obs/concurrent_counters.h"
-#include "src/store/slab_store.h"
+#include "src/concurrent/concurrent_clock.h"
+#include "src/concurrent/domain_cache.h"
 
 namespace qdlp {
 
-// Opt-in value storage (the qdlpd serving layer, docs/SERVER.md): with
-// arena_bytes > 0 the cache owns a SlabStore whose cells are 1:1 with the
-// metadata locations, giving GetValue/SetValue byte-serving semantics.
-// With the default (0) the cache is metadata-only and the value paths are
-// never compiled into Get().
-struct QdlpValueOptions {
-  size_t arena_bytes = 0;  // total value arena, split across the domains
-  size_t max_value_len = 4u << 20;
-};
-
-class ConcurrentQdLpFifo : public ConcurrentCache {
+class QdlpRegions {
  public:
-  enum class SetResult { kOk, kNoSpace, kTooLarge };
+  static constexpr std::string_view kName = "concurrent-qdlp-fifo";
+  // Every shard needs a probation slot and a main slot.
+  static constexpr size_t kMinShare = 2;
 
-  // Capacity is split per shard exactly as MakePolicy("qd-lp-fifo") splits
-  // it: probation = clamp(round(0.10 * share), 1, share - 1), main the
-  // rest, ghost as large as main. Requires capacity >= 2; shard counts
-  // that would leave a share below 2 are halved (eviction_domains.h). The
-  // index gets max(num_stripes, shard count) stripes so every domain owns
-  // a disjoint stripe set.
-  explicit ConcurrentQdLpFifo(size_t capacity, size_t num_stripes = 16,
-                              size_t num_shards = 1,
-                              QdlpValueOptions value_options = {});
+  // Splits each share as MakePolicy("qd-lp-fifo") splits a capacity:
+  // probation = clamp(round(0.10 * share), 1, share - 1), main the rest,
+  // ghost as large as main.
+  explicit QdlpRegions(DomainCore& core);
 
-  bool Get(ObjectId id) override;
-  // Like Get(), but a miss blocks on the home-domain mutex instead of
-  // deferring to the insert buffers: admission is guaranteed on return.
-  bool Admit(ObjectId id) override;
-  // Unlinks `id` under its home-domain mutex (blocking — removal is a
-  // control operation, not a hot-path Get), freeing its value chunk when a
-  // store is attached. A probation removal compacts the ring from the head
-  // side (<= probation share moves); a main removal is O(1). Counts as an
-  // eviction; leaves no ghost trace.
-  bool Remove(ObjectId id) override;
-
-  // ---- Value path (requires QdlpValueOptions::arena_bytes > 0). ----
-  //
-  // GetValue is the serving read: a lock-free index probe, the same lazy-
-  // promotion touch as Get() on success, and a seqlock value copy. It
-  // NEVER admits — a GET carries no bytes to store, so a miss stays a miss
-  // (counted) until the client SETs. An expired value counts as a miss and
-  // lazily removes the object.
-  bool GetValue(ObjectId id, uint64_t now_s, std::string* value);
-  // SetValue is the serving write: under the home-domain mutex (blocking)
-  // it allocates a chunk — evicting from this shard until the arena can
-  // satisfy the request — admits the id if not resident (ghost
-  // resurrection rules apply, counted as an insert but never as a miss:
-  // the GET that preceded it already counted), and commits the bytes.
-  // `expiry_s` is an absolute second (0 = never expires).
-  SetResult SetValue(ObjectId id, std::string_view value, uint64_t expiry_s);
-
-  // The attached value store, or nullptr when metadata-only.
-  SlabStore* value_store() { return store_.get(); }
-
-  size_t capacity() const override { return capacity_; }
-  std::string_view name() const override { return "concurrent-qdlp-fifo"; }
-
-  // Resident object count (approximate under concurrency).
-  size_t size() const { return resident_.load(std::memory_order_relaxed); }
-
-  // Flow counters from striped thread-exclusive cells; per-region occupancy
-  // (probation/main/ghost) summed under the shard mutexes. promotions
-  // counts probation->main lazy promotions and demotions probation->ghost
-  // quick demotions (main CLOCK laps are internal, as in the sequential
-  // QdCache).
-  CacheStats Stats() const override;
+  void Touch(uint32_t loc);
+  void Admit(size_t s, ObjectId id);
+  // Probation first (quick demotion or lazy promotion), then the main
+  // CLOCK hand.
+  void EvictOne(size_t s);
+  // A probation removal compacts the ring from the head side (<= probation
+  // share moves); a main removal is O(1).
+  void Unlink(size_t s, uint32_t loc);
+  size_t Resident(size_t s) const {
+    return shards_[s].probation_count + main_.Resident(s);
+  }
+  void AddOccupancy(size_t s, CacheStats* stats) const;
+  void CheckShard(size_t s) const;
+  // Main slot i maps to cell i, probation position p to
+  // main_capacity + p — one cell per location, [0, capacity).
+  uint32_t CellOf(uint32_t loc) const {
+    return (loc & kProbationBit)
+               ? static_cast<uint32_t>(main_.capacity()) +
+                     (loc & ~kProbationBit)
+               : loc;
+  }
+  size_t MemoryBytes() const;
 
   // Aggregate region capacities (sums over shards).
   size_t probation_capacity() const { return probation_capacity_; }
-  size_t main_capacity() const { return main_capacity_; }
-
-  size_t num_shards() const { return domains_.num_shards(); }
-  size_t ShardOf(ObjectId id) const { return domains_.ShardOf(id); }
-  // The shard's total capacity share (probation + main regions).
-  size_t shard_capacity(size_t s) const { return domains_.shard(s).capacity; }
-
-  // Region accounting, index/region agreement, probation/main/ghost
-  // disjointness, under all shard mutexes (buffered misses drained first).
-  void CheckInvariants() override;
-
-  size_t ApproxMetadataBytes() const override;
+  size_t main_capacity() const { return main_.capacity(); }
 
  private:
   static constexpr uint8_t kMaxCounter = 3;  // 2-bit CLOCK
-  // Index value tag: high bit = main region, low 31 bits = global slot.
-  static constexpr uint32_t kMainBit = 0x80000000u;
+  // Location tag: high bit = probation, low 31 bits = global position.
+  static constexpr uint32_t kProbationBit = 0x80000000u;
 
   // Probation ring entry. Only `accessed` is touched by concurrent readers
   // (the lock-free hit path); `id` is written solely under the owning
@@ -142,86 +89,47 @@ class ConcurrentQdLpFifo : public ConcurrentCache {
     std::atomic<uint8_t> accessed{0};
   };
 
-  // Main CLOCK ring slot, identical to concurrent_clock.h's.
-  struct MainSlot {
-    ObjectId id = 0;
-    std::atomic<uint8_t> counter{0};
-    bool occupied = false;
-  };
-
-  // Per-shard region state, guarded by the shard's mutex. The shard owns
-  // probation_[probation_base, probation_base + probation_capacity) and
-  // main_[main_base, main_base + main_capacity); head/hand/used are local
-  // offsets within those regions.
+  // Per-shard probation state, guarded by the shard's mutex. The shard
+  // owns probation_[probation_base, probation_base + probation_capacity);
+  // the head is a local offset within it.
   struct alignas(64) ShardState {
     size_t probation_base = 0;
     size_t probation_capacity = 0;
     size_t probation_head = 0;   // oldest entry's local ring position
     size_t probation_count = 0;
-    size_t main_base = 0;
-    size_t main_capacity = 0;
-    size_t main_used = 0;        // bump allocator over the main region
-    size_t main_hand = 0;
-    size_t main_count = 0;       // occupied main slots
-    std::unique_ptr<ShardedGhost> ghost;
   };
 
-  // No prior value cell to move: the id is entering cache space fresh.
-  static constexpr uint32_t kNoCell = 0xFFFFFFFFu;
-
-  // The value cell paired with an index value: probation positions map to
-  // themselves, main slot i to probation_capacity_ + i — one cell per
-  // metadata location, [0, capacity).
-  uint32_t CellOf(uint32_t index_value) const {
-    return (index_value & kMainBit)
-               ? static_cast<uint32_t>(probation_capacity_) +
-                     (index_value & ~kMainBit)
-               : index_value;
-  }
-
-  // The lock-free lazy-promotion touch shared by Get() and GetValue():
-  // probation accessed bit or main CLOCK counter bump.
-  void TouchLocation(uint32_t index_value);
-
-  // All of the below run under the shard's mutex.
-  // Admits `id` unless already resident; returns true on (raced) hit.
-  bool MissLocked(size_t s, ObjectId id);
-  void DrainShardLocked(size_t s, bool helping);
-  // Pushes `id` into the shard's probation, quick-demoting / lazily
-  // promoting the oldest entries as needed to make room.
-  void AdmitToProbation(size_t s, ObjectId id);
   // Evicts the shard's oldest probationary entry: accessed -> main (lazy
-  // promotion), untouched -> ghost (quick demotion).
+  // promotion, the value cell moves along), untouched -> ghost (quick
+  // demotion).
   void EvictFromProbation(size_t s);
-  // Inserts `id` into the shard's main CLOCK ring, evicting if full. Main
-  // evictions leave no ghost trace (only probation demotions do).
-  // `from_cell` is the id's previous value cell (a lazy promotion moves
-  // the value with the metadata) or kNoCell for a fresh admission.
-  void MainInsert(size_t s, ObjectId id, uint32_t from_cell);
-  size_t MainEvictOneLocked(size_t s);
-  // Frees value-arena space by evicting one object from the shard
-  // (probation first). Guaranteed progress while the shard is non-empty.
-  void EvictOneForSpace(size_t s);
 
-  void HelpDrainOthers(size_t miss_shard);
-
-  const size_t capacity_;
+  DomainCore& core_;
   size_t probation_capacity_ = 0;  // sum over shards
-  size_t main_capacity_ = 0;       // sum over shards
-  size_t ghost_capacity_ = 0;      // sum over shards
-
-  StripedAtomicIndex index_;  // id -> kMainBit-tagged global slot
+  std::vector<ShardState> shards_;
   std::vector<ProbationSlot> probation_;  // per-shard circular FIFOs
-  std::vector<MainSlot> main_;            // per-shard CLOCK rings
-
-  alignas(64) std::atomic<size_t> resident_{0};
-  EvictionDomains domains_;
-  std::vector<ShardState> shard_state_;
-  ConcurrentStatsCounters counters_;
-  // Value store (qdlpd): cells 1:1 with metadata locations, arenas 1:1
-  // with eviction domains. Null when metadata-only.
-  std::unique_ptr<SlabStore> store_;
+  // Per-shard main CLOCK rings. Main evictions leave no ghost trace (only
+  // probation demotions do), and hand laps are internal, as in the
+  // sequential QdCache.
+  ClockRegions main_;
 };
+
+class ConcurrentQdLpFifo : public DomainCache<QdlpRegions> {
+ public:
+  // Requires capacity >= 2; shard counts that would leave a share below 2
+  // are halved (eviction_domains.h).
+  explicit ConcurrentQdLpFifo(size_t capacity, size_t num_stripes = 16,
+                              size_t num_shards = 1,
+                              QdlpValueOptions value_options = {})
+      : DomainCache(capacity, num_stripes, num_shards, value_options) {}
+
+  size_t probation_capacity() const {
+    return regions().probation_capacity();
+  }
+  size_t main_capacity() const { return regions().main_capacity(); }
+};
+
+extern template class DomainCache<QdlpRegions>;
 
 }  // namespace qdlp
 

@@ -1,20 +1,17 @@
-// Thread-safe S3-FIFO: lock-free hit path, sharded eviction domains.
+// Thread-safe S3-FIFO: the S3FifoRegions below behind the DomainCache
+// skeleton (domain_cache.h) — lock-free hit path, sharded eviction
+// domains.
 //
 // S3-FIFO was designed for exactly this: hits touch only a per-object
 // atomic frequency counter (no queue reordering ever), so the hot path is
-// one probe of the striped atomic index (striped_index.h) plus one relaxed
-// RMW — no shared_mutex, no reader registration. All queue surgery
-// (admission, small->main promotion, ghost bookkeeping) happens on the
-// miss path, which is partitioned into S hash-selected eviction domains
-// (eviction_domains.h): each domain owns a slab region, its own
-// small/main FIFOs and ghost, one mutex, and BP-Wrapper insert buffers.
-// Contended misses buffer their id into the home domain's MPSC rings and
-// return; the next holder drains the batch under its single acquisition,
-// then makes one helping pass over backlogged foreign domains.
+// one probe of the striped atomic index plus one relaxed RMW. All queue
+// surgery (admission, small->main promotion, ghost bookkeeping) happens
+// on the miss path, where each eviction domain owns a slab region, its
+// own small/main FIFOs and its ghost.
 //
 // Storage is one fixed slab of nodes (no per-object allocation),
 // partitioned by shard: the FIFOs are intrusive singly-linked lists
-// threaded through slab slots, and the index maps id -> global slab slot,
+// threaded through slab slots, and a location is a global slab slot,
 // which is stable across queue movement — promotion and main-queue
 // reinsertion never touch the index at all.
 //
@@ -30,59 +27,42 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
-#include "src/concurrent/concurrent_cache.h"
-#include "src/concurrent/eviction_domains.h"
-#include "src/concurrent/sharded_ghost.h"
-#include "src/concurrent/striped_index.h"
-#include "src/obs/concurrent_counters.h"
+#include "src/concurrent/domain_cache.h"
 
 namespace qdlp {
 
-class ConcurrentS3FifoCache : public ConcurrentCache {
+class S3FifoRegions {
  public:
-  // `num_stripes` sizes the lock-free index's striping; `num_shards` the
-  // eviction domains (rounded/clamped by EvictionDomains). The index gets
-  // max(num_stripes, shard count) stripes so every domain owns a disjoint
-  // stripe set (see eviction_domains.h).
-  ConcurrentS3FifoCache(size_t capacity, double small_fraction = 0.10,
-                        double ghost_factor = 0.9, size_t num_stripes = 16,
-                        size_t num_shards = 1);
+  static constexpr std::string_view kName = "concurrent-s3fifo";
+  static constexpr size_t kMinShare = 1;
 
-  bool Get(ObjectId id) override;
-  // Like Get(), but a miss blocks on the home-domain mutex instead of
-  // deferring to the insert buffers: admission is guaranteed on return.
-  bool Admit(ObjectId id) override;
-  // Unlinks `id` from its queue under the home-domain mutex (blocking —
-  // removal is a control operation, not a hot-path Get). O(queue length)
-  // for the singly-linked FIFO walk. Counts as an eviction; leaves no
-  // ghost trace (the object did not age out, it was invalidated).
-  bool Remove(ObjectId id) override;
-  size_t capacity() const override { return capacity_; }
-  std::string_view name() const override { return "concurrent-s3fifo"; }
+  // S3FifoPolicy's sizing rules, applied per shard to its capacity share.
+  S3FifoRegions(DomainCore& core, double small_fraction, double ghost_factor);
 
-  // Resident object count (approximate under concurrency).
-  size_t size() const { return resident_.load(std::memory_order_relaxed); }
-
-  // Flow counters from striped thread-exclusive cells; per-queue occupancy
-  // (small/main/ghost) summed under the shard mutexes. Safe concurrently
-  // with Get().
-  CacheStats Stats() const override;
-
-  size_t num_shards() const { return domains_.num_shards(); }
-  size_t ShardOf(ObjectId id) const { return domains_.ShardOf(id); }
-  // The shard's slab-region size (its capacity share).
-  size_t shard_capacity(size_t s) const { return domains_.shard(s).capacity; }
-
-  // Queue accounting, index/slab agreement, and ghost/resident
-  // disjointness, under all shard mutexes (buffered misses drained first).
-  void CheckInvariants() override;
-
-  size_t ApproxMetadataBytes() const override;
+  void Touch(uint32_t loc) {
+    std::atomic<uint8_t>& freq = slab_[loc].freq;
+    const uint8_t current = freq.load(std::memory_order_relaxed);
+    if (current < kMaxFreq) {
+      freq.store(current + 1, std::memory_order_relaxed);
+    }
+  }
+  void Admit(size_t s, ObjectId id);
+  void EvictOne(size_t s);
+  // O(queue length): the singly-linked FIFO walk.
+  void Unlink(size_t s, uint32_t loc);
+  size_t Resident(size_t s) const {
+    return shards_[s].small_fifo.count + shards_[s].main_fifo.count;
+  }
+  void AddOccupancy(size_t s, CacheStats* stats) const {
+    stats->probation_size += shards_[s].small_fifo.count;
+    stats->main_size += shards_[s].main_fifo.count;
+  }
+  void CheckShard(size_t s) const;
+  uint32_t CellOf(uint32_t loc) const { return loc; }
+  size_t MemoryBytes() const { return slab_.capacity() * sizeof(Node); }
 
  private:
   static constexpr uint8_t kMaxFreq = 3;
@@ -115,38 +95,30 @@ class ConcurrentS3FifoCache : public ConcurrentCache {
     Fifo main_fifo;
     uint32_t free_head = kNil;
     size_t slab_used = 0;
-    size_t resident = 0;         // small + main occupancy
     size_t small_capacity = 0;   // small-queue target within the share
-    std::unique_ptr<ShardedGhost> ghost;
   };
 
   void PushBack(Fifo& fifo, uint32_t slot);
   uint32_t PopFront(Fifo& fifo);
-  // Unlinks `slot` from anywhere in the FIFO (predecessor walk).
-  void Unlink(Fifo& fifo, uint32_t slot);
-
-  // All of the below run under the shard's mutex.
-  uint32_t AllocSlot(size_t s);
   void FreeSlot(size_t s, uint32_t slot);
   void EvictSmall(size_t s);
   void EvictMain(size_t s);
-  void MakeRoom(size_t s);
-  // Admits `id` unless already resident; returns true on (raced) hit.
-  bool MissLocked(size_t s, ObjectId id);
-  void DrainShardLocked(size_t s, bool helping);
 
-  void HelpDrainOthers(size_t miss_shard);
-
-  const size_t capacity_;
-
-  StripedAtomicIndex index_;  // id -> global slab slot
-  std::vector<Node> slab_;    // fixed node storage, partitioned by shard
-
-  alignas(64) std::atomic<size_t> resident_{0};
-  EvictionDomains domains_;
-  std::vector<ShardState> shard_state_;
-  ConcurrentStatsCounters counters_;
+  DomainCore& core_;
+  std::vector<Node> slab_;  // fixed node storage, partitioned by shard
+  std::vector<ShardState> shards_;
 };
+
+class ConcurrentS3FifoCache : public DomainCache<S3FifoRegions> {
+ public:
+  ConcurrentS3FifoCache(size_t capacity, double small_fraction = 0.10,
+                        double ghost_factor = 0.9, size_t num_stripes = 16,
+                        size_t num_shards = 1)
+      : DomainCache(capacity, num_stripes, num_shards, QdlpValueOptions{},
+                    small_fraction, ghost_factor) {}
+};
+
+extern template class DomainCache<S3FifoRegions>;
 
 }  // namespace qdlp
 

@@ -1,12 +1,12 @@
 // Sharded eviction domains: the miss-path backbone that lets the
 // concurrent caches scale past the single eviction mutex.
 //
-// Each cache partitions its queue storage into S independent domains
-// selected by id hash; a domain owns a slab region, one mutex, one bank of
-// per-thread-ordinal insert buffers (BP-Wrapper, mpsc_ring.h), and an
-// approximate count of buffered misses. Misses to different domains
-// admit/evict fully in parallel; the lock-free striped_index hit path
-// stays global and untouched.
+// DomainCache (domain_cache.h) partitions its Regions' queue storage into
+// S independent domains selected by id hash; a domain owns a slab region,
+// one mutex, one bank of per-thread-ordinal insert buffers (BP-Wrapper,
+// mpsc_ring.h), and an approximate count of buffered misses. Misses to
+// different domains admit/evict fully in parallel; the lock-free
+// striped_index hit path stays global and untouched.
 //
 // Shard selection is deliberately the same bit extraction the striped
 // index uses for stripe selection — (FlatMapHash(id) >> 32) masked by a
@@ -24,7 +24,7 @@
 // split into regions), so tiny caches degrade to fewer shards instead of
 // failing.
 //
-// Drain protocol (implemented by the caches, supported here):
+// Drain protocol (implemented once, in DomainCache; supported here):
 //   * A missing thread try-locks its id's home domain; on success it
 //     drains that domain's buffers and admits inline.
 //   * On failure it buffers the id in the home domain's rings (bumping

@@ -1,10 +1,7 @@
 #include "src/core/cache_api.h"
 
-#include <time.h>
-
 #include <utility>
 
-#include "src/concurrent/concurrent_cache.h"
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
@@ -18,174 +15,82 @@ namespace qdlp {
 
 namespace {
 
-uint64_t WallClockSeconds() {
-  return static_cast<uint64_t>(time(nullptr));
-}
-
-// Every adapter forwards the CacheObservable surface to the wrapped
-// engine, so Stats()/CheckInvariants() mean exactly what they mean there.
-template <typename Inner>
-class ObservableForwarder : public Cache {
- public:
-  std::string_view name() const override { return inner_->name(); }
-  size_t capacity() const override { return inner_->capacity(); }
-  CacheStats Stats() const override { return inner_->Stats(); }
-  size_t ApproxMetadataBytes() const override {
-    return inner_->ApproxMetadataBytes();
-  }
-  void CheckInvariants() override { inner_->CheckInvariants(); }
-
- protected:
-  explicit ObservableForwarder(std::unique_ptr<Inner> inner)
-      : inner_(std::move(inner)) {}
-
-  std::unique_ptr<Inner> inner_;
-};
-
 // Sequential EvictionPolicy behind the unified face: Get/Set/GetOrAdmit
 // all reduce to the policy's get-or-admit Access (bytes and ttl have
-// nowhere to live), Delete to Remove where the policy supports it.
-class PolicyCacheAdapter : public ObservableForwarder<EvictionPolicy> {
+// nowhere to live), Delete to Remove where the policy supports it. The
+// CacheObservable surface forwards, so Stats()/CheckInvariants() mean
+// exactly what they mean on the policy.
+class PolicyCacheAdapter : public Cache {
  public:
   explicit PolicyCacheAdapter(std::unique_ptr<EvictionPolicy> policy)
-      : ObservableForwarder(std::move(policy)) {}
+      : policy_(std::move(policy)) {}
 
   bool Get(ObjectId key, std::string* value) override {
     if (value != nullptr) {
       value->clear();
     }
-    return inner_->Access(key);
+    return policy_->Access(key);
   }
 
   SetStatus Set(ObjectId key, std::string_view value,
                 uint32_t ttl_seconds) override {
     (void)value;
     (void)ttl_seconds;
-    if (!inner_->Contains(key)) {
-      inner_->Access(key);
+    if (!policy_->Contains(key)) {
+      policy_->Access(key);
     }
     return SetStatus::kOk;
   }
 
-  bool Delete(ObjectId key) override { return inner_->Remove(key); }
+  bool Delete(ObjectId key) override { return policy_->Remove(key); }
 
-  bool GetOrAdmit(ObjectId key) override { return inner_->Access(key); }
+  bool GetOrAdmit(ObjectId key) override { return policy_->Access(key); }
 
   bool thread_safe() const override { return false; }
-};
 
-// Any ConcurrentCache behind the unified face: same reductions, but
-// thread-safe and with removal guaranteed (the interface requires it).
-class ConcurrentCacheAdapter : public ObservableForwarder<ConcurrentCache> {
- public:
-  explicit ConcurrentCacheAdapter(std::unique_ptr<ConcurrentCache> cache)
-      : ObservableForwarder(std::move(cache)) {}
-
-  bool Get(ObjectId key, std::string* value) override {
-    if (value != nullptr) {
-      value->clear();
-    }
-    return inner_->Get(key);
+  std::string_view name() const override { return policy_->name(); }
+  size_t capacity() const override { return policy_->capacity(); }
+  CacheStats Stats() const override { return policy_->Stats(); }
+  size_t ApproxMetadataBytes() const override {
+    return policy_->ApproxMetadataBytes();
   }
-
-  SetStatus Set(ObjectId key, std::string_view value,
-                uint32_t ttl_seconds) override {
-    (void)value;
-    (void)ttl_seconds;
-    // Admit blocks on the home-domain lock on a miss, so — unlike the
-    // best-effort Get miss path, which may buffer or drop the admission
-    // under contention — the key really is resident when Set returns.
-    inner_->Admit(key);
-    return SetStatus::kOk;
-  }
-
-  bool Delete(ObjectId key) override { return inner_->Remove(key); }
-
-  bool GetOrAdmit(ObjectId key) override { return inner_->Get(key); }
-
-  bool thread_safe() const override { return true; }
-};
-
-// The value-storing engine: ConcurrentQdLpFifo + SlabStore, serving real
-// bytes with lazy TTLs. This is what qdlpd runs.
-class QdlpdEngine : public ObservableForwarder<ConcurrentQdLpFifo> {
- public:
-  QdlpdEngine(std::unique_ptr<ConcurrentQdLpFifo> cache,
-              uint64_t (*now_fn)())
-      : ObservableForwarder(std::move(cache)),
-        now_fn_(now_fn != nullptr ? now_fn : &WallClockSeconds) {}
-
-  bool Get(ObjectId key, std::string* value) override {
-    std::string scratch;
-    return inner_->GetValue(key, now_fn_(), value != nullptr ? value
-                                                             : &scratch);
-  }
-
-  SetStatus Set(ObjectId key, std::string_view value,
-                uint32_t ttl_seconds) override {
-    const uint64_t expiry_s =
-        ttl_seconds == 0 ? 0 : now_fn_() + ttl_seconds;
-    switch (inner_->SetValue(key, value, expiry_s)) {
-      case ConcurrentQdLpFifo::SetResult::kOk:
-        return SetStatus::kOk;
-      case ConcurrentQdLpFifo::SetResult::kNoSpace:
-        return SetStatus::kNoSpace;
-      case ConcurrentQdLpFifo::SetResult::kTooLarge:
-        break;
-    }
-    return SetStatus::kTooLarge;
-  }
-
-  bool Delete(ObjectId key) override { return inner_->Remove(key); }
-
-  bool GetOrAdmit(ObjectId key) override { return inner_->Get(key); }
-
-  bool thread_safe() const override { return true; }
-  bool stores_values() const override { return true; }
+  void CheckInvariants() override { policy_->CheckInvariants(); }
 
  private:
-  uint64_t (*now_fn_)();
+  std::unique_ptr<EvictionPolicy> policy_;
 };
 
 }  // namespace
 
 std::unique_ptr<Cache> MakeCache(const CacheConfig& config) {
   QDLP_CHECK(config.capacity >= 1);
-  if (config.value_arena_bytes > 0) {
-    // Only the qdlp engine has a value store; any other policy name with a
-    // value arena is a configuration error, reported as unknown.
-    if (config.policy != "concurrent-qdlp-fifo") {
-      return nullptr;
-    }
-    QdlpValueOptions value_options;
-    value_options.arena_bytes = config.value_arena_bytes;
-    value_options.max_value_len = config.max_value_len;
-    return std::make_unique<QdlpdEngine>(
-        std::make_unique<ConcurrentQdLpFifo>(config.capacity,
-                                             config.num_stripes,
-                                             config.num_shards, value_options),
-        config.now_fn);
-  }
-  std::unique_ptr<ConcurrentCache> concurrent;
   if (config.policy == "concurrent-qdlp-fifo") {
-    concurrent = std::make_unique<ConcurrentQdLpFifo>(
-        config.capacity, config.num_stripes, config.num_shards);
-  } else if (config.policy == "concurrent-clock") {
-    concurrent = std::make_unique<ConcurrentClockCache>(
+    return std::make_unique<ConcurrentQdLpFifo>(
+        config.capacity, config.num_stripes, config.num_shards,
+        QdlpValueOptions{config.value_arena_bytes, config.max_value_len,
+                         config.now_fn});
+  }
+  // Only the qdlp engine is offered a value store; any other policy name
+  // with a value arena is a configuration error, reported as unknown.
+  if (config.value_arena_bytes > 0) {
+    return nullptr;
+  }
+  if (config.policy == "concurrent-clock") {
+    return std::make_unique<ConcurrentClockCache>(
         config.capacity, config.clock_bits, config.num_stripes,
         config.num_shards);
-  } else if (config.policy == "concurrent-s3fifo") {
-    concurrent = std::make_unique<ConcurrentS3FifoCache>(
+  }
+  if (config.policy == "concurrent-s3fifo") {
+    return std::make_unique<ConcurrentS3FifoCache>(
         config.capacity, /*small_fraction=*/0.10, /*ghost_factor=*/0.9,
         config.num_stripes, config.num_shards);
-  } else if (config.policy == "global-lock-lru") {
-    concurrent = std::make_unique<GlobalLockLruCache>(config.capacity);
-  } else if (config.policy == "sharded-lru") {
-    concurrent = std::make_unique<ShardedLruCache>(config.capacity,
-                                                   config.num_shards);
   }
-  if (concurrent != nullptr) {
-    return std::make_unique<ConcurrentCacheAdapter>(std::move(concurrent));
+  if (config.policy == "global-lock-lru") {
+    return std::make_unique<GlobalLockLruCache>(config.capacity);
+  }
+  if (config.policy == "sharded-lru") {
+    return std::make_unique<ShardedLruCache>(config.capacity,
+                                             config.num_shards);
   }
   std::unique_ptr<EvictionPolicy> policy =
       MakePolicy(config.policy, config.capacity, config.trace);

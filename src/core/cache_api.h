@@ -1,34 +1,11 @@
-// The unified cache-facing API — one interface over both hierarchies,
-// values included.
+// The unified cache-facing API: the Cache interface (src/obs/cache.h,
+// re-exported here) plus its one factory.
 //
-// The repo grew three cache-shaped surfaces: EvictionPolicy::Access (the
-// sequential replay face), ConcurrentCache::Get (the thread-safe
-// get-or-admit face), and — with qdlpd — GetValue/SetValue byte serving.
-// Every consumer that doesn't care which engine it drives (the server,
-// the replay harness, oracle tests) programs against this one interface
-// instead:
-//
-//   Get(key, &value)   serving read. Value-storing engines copy the bytes
-//                      and NEVER admit on miss (a GET carries nothing to
-//                      store); metadata engines model the classic
-//                      get-or-admit access and leave *value empty.
-//   Set(key, value, ttl)  serving write: admit if absent, store bytes
-//                      (value engines) or just ensure residency (metadata
-//                      engines, which ignore bytes and ttl).
-//   Delete(key)        user-controlled removal (§2's fourth operation).
-//   GetOrAdmit(key)    the replay face, exactly EvictionPolicy::Access /
-//                      ConcurrentCache::Get semantics on every engine.
-//
-// plus the whole CacheObservable surface (name/capacity/Stats/
-// ApproxMetadataBytes/CheckInvariants), so benches and reports keep
-// consuming one type.
-//
-// MakeCache() is the single factory: one config struct routes to a
-// sequential policy adapter (any MakePolicy name), a concurrent cache
-// adapter (the five concurrent engines), or the value-storing qdlpd
-// engine (concurrent-qdlp-fifo + SlabStore) — selected by `policy` and
-// `value_arena_bytes` alone, no per-engine construction code at call
-// sites.
+// MakeCache() routes one config struct to a concurrent engine — each of
+// the five is itself a Cache, and "concurrent-qdlp-fifo" with a nonzero
+// `value_arena_bytes` owns a SlabStore and serves bytes (what qdlpd runs)
+// — or to the single sequential adapter over any MakePolicy name. No
+// per-engine construction code at call sites.
 
 #ifndef QDLP_SRC_CORE_CACHE_API_H_
 #define QDLP_SRC_CORE_CACHE_API_H_
@@ -36,48 +13,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/obs/cache_observable.h"
+#include "src/obs/cache.h"
 #include "src/trace/trace.h"
 
 namespace qdlp {
-
-class Cache : public CacheObservable {
- public:
-  enum class SetStatus {
-    kOk,
-    kNoSpace,   // value arena cannot hold the bytes even after eviction
-    kTooLarge,  // value exceeds the engine's max value length
-  };
-
-  // Serving read. True = hit; value engines fill *value (may be empty for
-  // an empty stored value), metadata engines always leave it empty.
-  // `value` may be null when the caller only wants the outcome.
-  virtual bool Get(ObjectId key, std::string* value) = 0;
-
-  // Serving write. `ttl_seconds` is relative (0 = no expiry); metadata
-  // engines ignore bytes and ttl and only ensure residency.
-  virtual SetStatus Set(ObjectId key, std::string_view value,
-                        uint32_t ttl_seconds) = 0;
-
-  // Removal. True if the key was resident. Every concurrent engine
-  // implements this; sequential policies without removal support return
-  // false (see EvictionPolicy::SupportsRemoval).
-  virtual bool Delete(ObjectId key) = 0;
-
-  // The replay face: returns true on hit, admits on miss — identical to
-  // EvictionPolicy::Access / ConcurrentCache::Get on every engine. Sweep
-  // and replay paths use this so miss ratios are engine-comparable.
-  virtual bool GetOrAdmit(ObjectId key) = 0;
-
-  // True when all operations are safe from multiple threads.
-  virtual bool thread_safe() const = 0;
-
-  // True when Get/Set move real bytes (the qdlpd engine).
-  virtual bool stores_values() const { return false; }
-};
 
 struct CacheConfig {
   std::string policy = "qd-lp-fifo";  // MakePolicy name or a concurrent name
@@ -89,7 +30,7 @@ struct CacheConfig {
   int clock_bits = 2;       // concurrent-clock reference-counter width
 
   // Value serving (requires policy == "concurrent-qdlp-fifo"): nonzero
-  // routes to the qdlpd engine with a SlabStore of this many bytes.
+  // gives the engine a SlabStore of this many bytes.
   size_t value_arena_bytes = 0;
   size_t max_value_len = 4u << 20;
 

@@ -10,12 +10,14 @@
 #include <signal.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "src/obs/cache_stats.h"
@@ -27,12 +29,17 @@ std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = strlen(name);
-  if (strncmp(arg, name, len) != 0 || arg[len] != '=') {
+// Parses a whole decimal number within [min, max]: no sign, no trailing
+// characters, no overflow.
+bool ParseNumber(const std::string& text, size_t min, size_t max,
+                 size_t* out) {
+  size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
     return false;
   }
-  *out = arg + len + 1;
+  *out = value;
   return true;
 }
 
@@ -40,30 +47,44 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 
 int main(int argc, char** argv) {
   qdlp::QdlpdOptions options;
-  options.port = 7070;
   options.cache.capacity = 1 << 20;
-  options.cache.value_arena_bytes = 256u << 20;
+  size_t port = 7070;
+  size_t arena_mb = 256;
+  // Every numeric flag with the range the server can run with: capacity
+  // needs a probation and a main slot and fits a 31-bit location, and the
+  // value store addresses at most 32 GiB per arena.
+  const struct {
+    const char* name;
+    size_t min;
+    size_t max;
+    size_t* value;
+  } kFlags[] = {
+      {"--port=", 0, 65535, &port},
+      {"--capacity=", 2, 0x7FFFFFFF, &options.cache.capacity},
+      {"--arena-mb=", 0, 32768, &arena_mb},
+      {"--workers=", 1, SIZE_MAX, &options.num_workers},
+      {"--shards=", 1, SIZE_MAX, &options.cache.num_shards},
+      {"--stripes=", 1, SIZE_MAX, &options.cache.num_stripes},
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "--port", &value)) {
-      options.port = static_cast<uint16_t>(std::stoul(value));
-    } else if (ParseFlag(argv[i], "--capacity", &value)) {
-      options.cache.capacity = std::stoull(value);
-    } else if (ParseFlag(argv[i], "--arena-mb", &value)) {
-      options.cache.value_arena_bytes = std::stoull(value) << 20;
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
-      options.num_workers = std::stoull(value);
-    } else if (ParseFlag(argv[i], "--shards", &value)) {
-      options.cache.num_shards = std::stoull(value);
-    } else if (ParseFlag(argv[i], "--stripes", &value)) {
-      options.cache.num_stripes = std::stoull(value);
-    } else {
+    const std::string arg = argv[i];
+    bool parsed = false;
+    for (const auto& flag : kFlags) {
+      if (arg.rfind(flag.name, 0) == 0) {
+        parsed = ParseNumber(arg.substr(strlen(flag.name)), flag.min,
+                             flag.max, flag.value);
+        break;
+      }
+    }
+    if (!parsed) {
       fprintf(stderr,
               "usage: qdlpd [--port=N] [--capacity=N] [--arena-mb=N]\n"
               "             [--workers=N] [--shards=N] [--stripes=N]\n");
       return 2;
     }
   }
+  options.port = static_cast<uint16_t>(port);
+  options.cache.value_arena_bytes = arena_mb << 20;
 
   signal(SIGINT, HandleSignal);
   signal(SIGTERM, HandleSignal);

@@ -160,11 +160,22 @@ TEST(CacheApiTest, UniformDeleteOracleAcrossConcurrentEngines) {
     config.num_shards = 2;
     std::unique_ptr<Cache> cache = MakeCache(config);
     ASSERT_NE(cache, nullptr) << name;
+    // Removal leaves no ghost trace: re-admitting a just-deleted key is a
+    // plain miss that no ghost resurrects. The re-admission is deleted
+    // again, so the cache is left as the deletion left it.
+    auto expect_no_ghost_trace = [&](ObjectId key) {
+      const uint64_t ghost_hits = cache->Stats().ghost_hits;
+      EXPECT_FALSE(cache->GetOrAdmit(key)) << name << " key " << key;
+      EXPECT_EQ(cache->Stats().ghost_hits, ghost_hits)
+          << name << " key " << key;
+      EXPECT_TRUE(cache->Delete(key)) << name << " key " << key;
+    };
 
     // A just-admitted key in an otherwise idle cache is always removable.
     for (ObjectId key = 1; key <= 20; ++key) {
       cache->Set(key, "", 0);
       EXPECT_TRUE(cache->Delete(key)) << name << " key " << key;
+      expect_no_ghost_trace(key);
       EXPECT_FALSE(cache->Delete(key)) << name << " key " << key;
     }
     EXPECT_EQ(cache->Stats().size, 0u) << name;
@@ -179,7 +190,11 @@ TEST(CacheApiTest, UniformDeleteOracleAcrossConcurrentEngines) {
       }
     }
     for (ObjectId key = 0; key < kUniverse; ++key) {
-      cache->Delete(key);  // true or false — the key may have been evicted
+      // True or false — the key may have been evicted (and an evicted key
+      // may sit in a ghost, so only a real removal is checked).
+      if (cache->Delete(key)) {
+        expect_no_ghost_trace(key);
+      }
     }
     EXPECT_EQ(cache->Stats().size, 0u) << name;
     cache->CheckInvariants();
