@@ -32,36 +32,39 @@ QdlpRegions::QdlpRegions(DomainCore& core)
     ShardState& state = shards_[s];
     state.probation_base = probation_capacity_;
     state.probation_capacity = ProbationCapacity(share);
+    state.fifo.Reserve(state.probation_capacity);
     probation_capacity_ += state.probation_capacity;
     // Ghost as large as the shard's main region (factor 1.0).
     core.ghosts.push_back(
         std::make_unique<ShardedGhost>(share - state.probation_capacity));
   }
-  probation_ = std::vector<ProbationSlot>(probation_capacity_);
+  accessed_ = std::vector<std::atomic<uint8_t>>(probation_capacity_);
 }
 
 void QdlpRegions::CheckShard(size_t s) const {
   const ShardState& state = shards_[s];
-  QDLP_CHECK(state.probation_count <= state.probation_capacity);
-  QDLP_CHECK(state.probation_head < state.probation_capacity);
-  // Probation ring entries are indexed at their tagged global position.
-  // An object holds space in exactly one region; the tags prove
-  // probation/main disjointness (one index entry per id).
-  for (size_t i = 0; i < state.probation_count; ++i) {
-    const size_t pos = state.probation_base +
-                       (state.probation_head + i) % state.probation_capacity;
-    core_.CheckResident(s, probation_[pos].id,
-                        kProbationBit | static_cast<uint32_t>(pos));
-  }
+  QDLP_CHECK(state.fifo.size() <= state.probation_capacity);
+  state.fifo.CheckInvariants();
+  // Probation entries are indexed at their tagged global slot, inside the
+  // shard's range. An object holds space in exactly one region; the tags
+  // prove probation/main disjointness (one index entry per id).
+  state.fifo.ForEach([&](ProbationFifo::SlotId slot, ObjectId id) {
+    QDLP_CHECK(slot < state.probation_capacity);
+    core_.CheckResident(s, id, ProbationLoc(s, slot));
+  });
   main_.CheckShard(s);
 }
 
 size_t QdlpRegions::MemoryBytes() const {
-  return probation_.capacity() * sizeof(ProbationSlot) + main_.MemoryBytes();
+  size_t bytes = accessed_.size() + main_.MemoryBytes();
+  for (const ShardState& state : shards_) {
+    bytes += state.fifo.MemoryBytes();
+  }
+  return bytes;
 }
 
 void QdlpRegions::AddOccupancy(size_t s, CacheStats* stats) const {
-  stats->probation_size += shards_[s].probation_count;
+  stats->probation_size += shards_[s].fifo.size();
   stats->main_size += main_.Resident(s);
 }
 
@@ -73,8 +76,7 @@ void QdlpRegions::Touch(uint32_t loc) {
   // Racing with a quick demotion that recycles this probation slot, the
   // bit can land on the slot's next occupant — one spurious promotion
   // candidate, never a correctness issue.
-  probation_[loc & ~kProbationBit].accessed.store(1,
-                                                  std::memory_order_relaxed);
+  accessed_[loc & ~kProbationBit].store(1, std::memory_order_relaxed);
 }
 
 void QdlpRegions::Admit(size_t s, ObjectId id) {
@@ -87,22 +89,16 @@ void QdlpRegions::Admit(size_t s, ObjectId id) {
   // Push into probation, quick-demoting / lazily promoting the oldest
   // entries as needed to make room.
   ShardState& state = shards_[s];
-  while (state.probation_count >= state.probation_capacity) {
+  while (state.fifo.size() >= state.probation_capacity) {
     EvictFromProbation(s);
   }
-  const size_t pos = state.probation_base +
-                     (state.probation_head + state.probation_count) %
-                         state.probation_capacity;
-  ProbationSlot& slot = probation_[pos];
-  slot.id = id;
-  slot.accessed.store(0, std::memory_order_relaxed);
-  ++state.probation_count;
-  const uint32_t loc = kProbationBit | static_cast<uint32_t>(pos);
+  const uint32_t loc = ProbationLoc(s, state.fifo.PushBack(id));
+  accessed_[loc & ~kProbationBit].store(0, std::memory_order_relaxed);
   core_.Place(id, loc, CellOf(loc));
 }
 
 void QdlpRegions::EvictOne(size_t s) {
-  if (shards_[s].probation_count > 0) {
+  if (!shards_[s].fifo.empty()) {
     EvictFromProbation(s);
   } else {
     main_.EvictOne(s);
@@ -110,16 +106,16 @@ void QdlpRegions::EvictOne(size_t s) {
 }
 
 void QdlpRegions::EvictFromProbation(size_t s) {
-  ShardState& state = shards_[s];
-  QDLP_DCHECK(state.probation_count > 0);
-  const size_t pos = state.probation_base + state.probation_head;
-  ProbationSlot& slot = probation_[pos];
-  state.probation_head =
-      (state.probation_head + 1) % state.probation_capacity;
-  --state.probation_count;
-  const ObjectId victim = slot.id;
-  const uint32_t cell = CellOf(kProbationBit | static_cast<uint32_t>(pos));
-  if (slot.accessed.load(std::memory_order_relaxed) != 0) {
+  ProbationFifo& fifo = shards_[s].fifo;
+  QDLP_DCHECK(!fifo.empty());
+  const ProbationFifo::SlotId slot = fifo.front();
+  const ObjectId victim = fifo[slot];
+  const uint32_t loc = ProbationLoc(s, slot);
+  const bool accessed =
+      accessed_[loc & ~kProbationBit].load(std::memory_order_relaxed) != 0;
+  fifo.Erase(slot);
+  const uint32_t cell = CellOf(loc);
+  if (accessed) {
     // Lazy promotion: re-accessed while on probation -> main cache. Erase
     // before the slot can be recycled (a racing reader at worst sets the
     // next occupant's accessed bit).
@@ -139,37 +135,11 @@ void QdlpRegions::Unlink(size_t s, uint32_t loc) {
     main_.Unlink(s, loc);
     return;
   }
-  // Probation is a dense circular FIFO, so removal compacts from the head
-  // side: every entry between the head and the hole shifts one position
-  // toward the tail (preserving FIFO order), then the head advances over
-  // the vacated slot. Each move is a slot copy + index update + cell move.
+  // The survivors keep their FIFO order and their slots: nothing moves, so
+  // no index update and no value-cell move.
   ShardState& state = shards_[s];
-  const size_t local = (loc & ~kProbationBit) - state.probation_base;
-  const size_t dist =
-      (local + state.probation_capacity - state.probation_head) %
-      state.probation_capacity;
-  for (size_t i = dist; i > 0; --i) {
-    const uint32_t to = static_cast<uint32_t>(
-        state.probation_base +
-        (state.probation_head + i) % state.probation_capacity);
-    const uint32_t from = static_cast<uint32_t>(
-        state.probation_base +
-        (state.probation_head + i - 1) % state.probation_capacity);
-    probation_[to].id = probation_[from].id;
-    // A concurrent hit racing this move can drop its accessed bit or land
-    // it on the vacated slot — a lost reference bit, benign.
-    probation_[to].accessed.store(
-        probation_[from].accessed.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    core_.index.Update(probation_[to].id, kProbationBit | to);
-    if (core_.store) {
-      core_.store->MoveCell(CellOf(kProbationBit | from),
-                            CellOf(kProbationBit | to));
-    }
-  }
-  state.probation_head =
-      (state.probation_head + 1) % state.probation_capacity;
-  --state.probation_count;
+  state.fifo.Erase(static_cast<ProbationFifo::SlotId>(
+      (loc & ~kProbationBit) - state.probation_base));
 }
 
 template class DomainCache<QdlpRegions>;

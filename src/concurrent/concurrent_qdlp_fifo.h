@@ -6,15 +6,17 @@
 // Layout mirrors the sequential QdCache over a 2-bit CLOCK, partitioned
 // into S hash-selected eviction domains (eviction_domains.h):
 //
-//   probation  — per shard, a small circular FIFO (10% of the shard's
-//                capacity share); a hit sets one per-entry accessed bit
+//   probation  — per shard, a small FIFO (10% of the shard's capacity
+//                share) on a slab-backed intrusive list, so a removal
+//                unlinks in O(1); a hit sets one per-entry accessed bit
 //   main       — per shard, a 2-bit CLOCK ring over the share's remainder
 //   ghost      — per shard, metadata-only memory of quick-demoted ids, as
 //                large as the shard's main region (sharded_ghost.h)
 //
 // The main ring is concurrent CLOCK's ring (ClockRegions, 2-bit
 // counters). A location is a GLOBAL main slot or a tagged probation
-// position; a hit is one lock-free probe plus a single relaxed store (the
+// slot, stable while its object stays in that region; a hit is one
+// lock-free probe plus a single relaxed store (the
 // accessed bit) or relaxed RMW (the CLOCK counter) — lazy promotion's "at
 // most one metadata update, no locking" made literal, and entirely
 // shard-oblivious.
@@ -35,6 +37,7 @@
 
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/domain_cache.h"
+#include "src/util/intrusive_list.h"
 
 namespace qdlp {
 
@@ -54,16 +57,16 @@ class QdlpRegions {
   // Probation first (quick demotion or lazy promotion), then the main
   // CLOCK hand.
   void EvictOne(size_t s);
-  // A probation removal compacts the ring from the head side (<= probation
-  // share moves); a main removal is O(1).
+  // O(1) in either region: a probation slot unlinks from its FIFO, a
+  // main slot empties in place.
   void Unlink(size_t s, uint32_t loc);
   size_t Resident(size_t s) const {
-    return shards_[s].probation_count + main_.Resident(s);
+    return shards_[s].fifo.size() + main_.Resident(s);
   }
   void AddOccupancy(size_t s, CacheStats* stats) const;
   void CheckShard(size_t s) const;
-  // Main slot i maps to cell i, probation position p to
-  // main_capacity + p — one cell per location, [0, capacity).
+  // Main slot i maps to cell i, probation slot p to main_capacity + p —
+  // one cell per location, [0, capacity).
   uint32_t CellOf(uint32_t loc) const {
     return (loc & kProbationBit)
                ? static_cast<uint32_t>(main_.capacity()) +
@@ -78,26 +81,26 @@ class QdlpRegions {
 
  private:
   static constexpr uint8_t kMaxCounter = 3;  // 2-bit CLOCK
-  // Location tag: high bit = probation, low 31 bits = global position.
+  // Location tag: high bit = probation, low 31 bits = global slot.
   static constexpr uint32_t kProbationBit = 0x80000000u;
 
-  // Probation ring entry. Only `accessed` is touched by concurrent readers
-  // (the lock-free hit path); `id` is written solely under the owning
-  // shard's mutex.
-  struct ProbationSlot {
-    ObjectId id = 0;
-    std::atomic<uint8_t> accessed{0};
-  };
+  using ProbationFifo = IntrusiveList<ObjectId>;
 
   // Per-shard probation state, guarded by the shard's mutex. The shard
-  // owns probation_[probation_base, probation_base + probation_capacity);
-  // the head is a local offset within it.
+  // owns global probation slots [probation_base, probation_base +
+  // probation_capacity); slot i of its FIFO (front = oldest) is global
+  // slot probation_base + i, stable while the entry stays on probation.
   struct alignas(64) ShardState {
     size_t probation_base = 0;
     size_t probation_capacity = 0;
-    size_t probation_head = 0;   // oldest entry's local ring position
-    size_t probation_count = 0;
+    ProbationFifo fifo;
   };
+
+  // The tagged location of shard s's FIFO slot.
+  uint32_t ProbationLoc(size_t s, ProbationFifo::SlotId slot) const {
+    return kProbationBit |
+           static_cast<uint32_t>(shards_[s].probation_base + slot);
+  }
 
   // Evicts the shard's oldest probationary entry: accessed -> main (lazy
   // promotion, the value cell moves along), untouched -> ghost (quick
@@ -107,7 +110,9 @@ class QdlpRegions {
   DomainCore& core_;
   size_t probation_capacity_ = 0;  // sum over shards
   std::vector<ShardState> shards_;
-  std::vector<ProbationSlot> probation_;  // per-shard circular FIFOs
+  // One accessed bit per global probation slot: the only probation state
+  // the lock-free hit path touches.
+  std::vector<std::atomic<uint8_t>> accessed_;
   // Per-shard main CLOCK rings. Main evictions leave no ghost trace (only
   // probation demotions do), and hand laps are internal, as in the
   // sequential QdCache.

@@ -45,6 +45,7 @@ void S3FifoRegions::CheckShard(size_t s) const {
       QDLP_CHECK(slot < domain.base + state.slab_used);
       const Node& node = slab_[slot];
       QDLP_CHECK(node.where == expect);
+      QDLP_CHECK(node.prev == last);
       QDLP_CHECK(node.freq.load(std::memory_order_relaxed) <= kMaxFreq);
       core_.CheckResident(s, node.id, slot);
       last = slot;
@@ -58,6 +59,7 @@ void S3FifoRegions::CheckShard(size_t s) const {
 }
 
 void S3FifoRegions::PushBack(Fifo& fifo, uint32_t slot) {
+  slab_[slot].prev = fifo.tail;
   slab_[slot].next = kNil;
   if (fifo.tail == kNil) {
     fifo.head = slot;
@@ -68,37 +70,33 @@ void S3FifoRegions::PushBack(Fifo& fifo, uint32_t slot) {
   ++fifo.count;
 }
 
+void S3FifoRegions::Remove(Fifo& fifo, uint32_t slot) {
+  const Node& node = slab_[slot];
+  if (node.prev == kNil) {
+    fifo.head = node.next;
+  } else {
+    slab_[node.prev].next = node.next;
+  }
+  if (node.next == kNil) {
+    fifo.tail = node.prev;
+  } else {
+    slab_[node.next].prev = node.prev;
+  }
+  --fifo.count;
+}
+
 uint32_t S3FifoRegions::PopFront(Fifo& fifo) {
   QDLP_DCHECK(fifo.head != kNil);
   const uint32_t slot = fifo.head;
-  fifo.head = slab_[slot].next;
-  if (fifo.head == kNil) {
-    fifo.tail = kNil;
-  }
-  --fifo.count;
+  Remove(fifo, slot);
   return slot;
 }
 
 void S3FifoRegions::Unlink(size_t s, uint32_t slot) {
   ShardState& state = shards_[s];
-  Fifo& fifo =
-      slab_[slot].where == Where::kSmall ? state.small_fifo : state.main_fifo;
-  uint32_t prev = kNil;
-  uint32_t walk = fifo.head;
-  while (walk != slot) {
-    QDLP_DCHECK(walk != kNil);
-    prev = walk;
-    walk = slab_[walk].next;
-  }
-  if (prev == kNil) {
-    fifo.head = slab_[slot].next;
-  } else {
-    slab_[prev].next = slab_[slot].next;
-  }
-  if (fifo.tail == slot) {
-    fifo.tail = prev;
-  }
-  --fifo.count;
+  Remove(slab_[slot].where == Where::kSmall ? state.small_fifo
+                                             : state.main_fifo,
+         slot);
   FreeSlot(s, slot);
 }
 

@@ -10,8 +10,9 @@
 // own small/main FIFOs and its ghost.
 //
 // Storage is one fixed slab of nodes (no per-object allocation),
-// partitioned by shard: the FIFOs are intrusive singly-linked lists
-// threaded through slab slots, and a location is a global slab slot,
+// partitioned by shard: the FIFOs are intrusive doubly linked lists
+// threaded through slab slots (so a removal unlinks in O(1)), and a
+// location is a global slab slot,
 // which is stable across queue movement — promotion and main-queue
 // reinsertion never touch the index at all.
 //
@@ -51,7 +52,7 @@ class S3FifoRegions {
   }
   void Admit(size_t s, ObjectId id);
   void EvictOne(size_t s);
-  // O(queue length): the singly-linked FIFO walk.
+  // O(1): the slot unlinks from its FIFO and returns to the freelist.
   void Unlink(size_t s, uint32_t loc);
   size_t Resident(size_t s) const {
     return shards_[s].small_fifo.count + shards_[s].main_fifo.count;
@@ -77,7 +78,8 @@ class S3FifoRegions {
     ObjectId id = 0;
     std::atomic<uint8_t> freq{0};
     Where where = Where::kSmall;
-    uint32_t next = kNil;  // intrusive FIFO / freelist link
+    uint32_t prev = kNil;  // intrusive FIFO link toward the head
+    uint32_t next = kNil;  // intrusive FIFO link toward the tail / freelist
   };
 
   // Intrusive FIFO over slab slots.
@@ -99,6 +101,7 @@ class S3FifoRegions {
   };
 
   void PushBack(Fifo& fifo, uint32_t slot);
+  void Remove(Fifo& fifo, uint32_t slot);
   uint32_t PopFront(Fifo& fifo);
   void FreeSlot(size_t s, uint32_t slot);
   void EvictSmall(size_t s);

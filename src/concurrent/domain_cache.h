@@ -20,8 +20,9 @@
 //     blocking and drain it first;
 //   * the striped counters, Stats(), the metadata
 //     footprint and the shared half of CheckInvariants;
-//   * the optional SlabStore value path (GetValue/SetValue, arena-pressure
-//     eviction, cell stamp/clear/move), one value cell per location.
+//   * the optional SlabStore value path (GetValue/SetValue, the Cache
+//     face's GetAppend and PrefetchGets, arena-pressure eviction, cell
+//     stamp/clear/move), one value cell per location.
 //
 // A Regions type is constructed as Regions(DomainCore&, extra args...) and
 // provides:
@@ -170,6 +171,15 @@ class DomainCache : public ConcurrentCache {
   SetStatus Set(ObjectId key, std::string_view value,
                 uint32_t ttl_seconds) override;
   bool stores_values() const override { return core_.store != nullptr; }
+  // With a value store, the read GetValue makes, appending straight from
+  // the slab into *out.
+  bool GetAppend(ObjectId key, std::string* out) override;
+  // Three passes over the keys, each only atomic loads and prefetches —
+  // nothing written, counted or validated: the index probe-start slots,
+  // then (with a value store) the value cells the index names, then the
+  // first lines of those cells' chunks. The reads that follow still run
+  // the full validated path.
+  void PrefetchGets(const ObjectId* keys, size_t count) override;
 
   // ---- Value path (requires QdlpValueOptions::arena_bytes > 0). ----
   //
@@ -177,7 +187,8 @@ class DomainCache : public ConcurrentCache {
   // promotion touch as Get() on success, and a seqlock value copy. It
   // NEVER admits — a GET carries no bytes to store, so a miss stays a miss
   // (counted) until the client SETs. An expired value counts as a miss and
-  // lazily removes the object.
+  // lazily removes the object. *value is replaced: a hit leaves exactly
+  // the stored bytes, anything else leaves it empty.
   bool GetValue(ObjectId id, uint64_t now_s, std::string* value);
   // SetValue is the serving write: under the home-domain mutex (blocking)
   // it allocates a chunk — evicting from this shard until the arena can
@@ -254,6 +265,9 @@ class DomainCache : public ConcurrentCache {
     core_.counters.Add(Counters::kHits);
     return true;
   }
+  // GetValue's read in append form: a hit appends at out->size(), every
+  // other outcome leaves *out as passed (SlabStore::Read's contract).
+  bool AppendValue(ObjectId id, uint64_t now_s, std::string* out);
   // A counted Get/Admit miss under the freshly taken home-domain lock.
   bool MissLocked(size_t s, ObjectId id);
   // Drains shard s's insert buffers; `helping` marks a cross-shard drain.
@@ -358,11 +372,54 @@ Cache::SetStatus DomainCache<Regions>::Set(ObjectId key,
 }
 
 template <typename Regions>
+bool DomainCache<Regions>::GetAppend(ObjectId key, std::string* out) {
+  if (!core_.store) {
+    return ConcurrentCache::GetAppend(key, out);
+  }
+  return AppendValue(key, now_fn_(), out);
+}
+
+template <typename Regions>
+void DomainCache<Regions>::PrefetchGets(const ObjectId* keys, size_t count) {
+  // Windows of kWindow keys: long enough to overlap their memory latency,
+  // short enough that the first window's lines are still resident when
+  // its reads come up.
+  constexpr size_t kWindow = 32;
+  uint32_t cells[kWindow];
+  for (size_t begin = 0; begin < count; begin += kWindow) {
+    const ObjectId* window = keys + begin;
+    const size_t n = std::min(kWindow, count - begin);
+    for (size_t i = 0; i < n; ++i) {
+      core_.index.PrefetchHome(window[i]);
+    }
+    if (!core_.store) {
+      continue;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t loc;
+      cells[i] = core_.index.PeekHint(window[i], &loc) ? regions_.CellOf(loc)
+                                                       : DomainCore::kNoCell;
+      core_.store->PrefetchCell(cells[i]);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      core_.store->PrefetchValue(cells[i]);
+    }
+  }
+}
+
+template <typename Regions>
 bool DomainCache<Regions>::GetValue(ObjectId id, uint64_t now_s,
                                     std::string* value) {
+  value->clear();
+  return AppendValue(id, now_s, value);
+}
+
+template <typename Regions>
+bool DomainCache<Regions>::AppendValue(ObjectId id, uint64_t now_s,
+                                       std::string* out) {
   QDLP_CHECK(core_.store != nullptr);
-  // Bounded re-probe loop: kStale means the object moved (promotion,
-  // compaction) or was replaced between the index probe and the cell read.
+  // Bounded re-probe loop: kStale means the object moved (promotion) or
+  // was replaced between the index probe and the cell read.
   // Every resident id's cell is ownership-stamped at admission, so
   // staleness is transient; the cap is belt and braces.
   for (int attempt = 0; attempt < 8; ++attempt) {
@@ -370,7 +427,7 @@ bool DomainCache<Regions>::GetValue(ObjectId id, uint64_t now_s,
     if (!core_.index.Find(id, &loc)) {
       break;
     }
-    switch (core_.store->Read(regions_.CellOf(loc), id, now_s, value)) {
+    switch (core_.store->Read(regions_.CellOf(loc), id, now_s, out)) {
       case SlabStore::ReadResult::kHit:
         regions_.Touch(loc);
         core_.counters.Add(Counters::kHits);

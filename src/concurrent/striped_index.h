@@ -65,6 +65,7 @@
 #include "src/trace/trace.h"
 #include "src/util/check.h"
 #include "src/util/flat_map.h"
+#include "src/util/prefetch.h"
 
 namespace qdlp {
 
@@ -104,8 +105,8 @@ class StripedAtomicIndex {
     const Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
     while (true) {
       const uint64_t v1 = stripe.version.load(std::memory_order_acquire);
-      const Slot* slots = stripe.slots.load(std::memory_order_acquire);
       const uint64_t mask = stripe.mask.load(std::memory_order_acquire);
+      const Slot* slots = SlotsFor(stripe);
       size_t index = hash & mask;
       bool found = false;
       uint32_t found_value = 0;
@@ -151,6 +152,41 @@ class StripedAtomicIndex {
   bool Contains(ObjectId key) const {
     uint32_t value;
     return Find(key, &value);
+  }
+
+  // Read hints for a batch of keys about to be Find()-ed. PrefetchHome
+  // pulls in the key's probe-start slot; PeekHint, a pass later, follows
+  // at most kHintProbe slots of the probe without any seqlock validation
+  // and returns a location that is only a guess — good enough to prefetch
+  // what it names, never to act on. Neither changes any state.
+  void PrefetchHome(ObjectId key) const {
+    const uint64_t hash = FlatMapHash(key);
+    const Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
+    const uint64_t mask = stripe.mask.load(std::memory_order_acquire);
+    PrefetchForRead(&SlotsFor(stripe)[hash & mask]);
+  }
+  bool PeekHint(ObjectId key, uint32_t* value) const {
+    if (key >= kTombstoneKey) {
+      return false;
+    }
+    const uint64_t hash = FlatMapHash(key);
+    const Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
+    const uint64_t mask = stripe.mask.load(std::memory_order_acquire);
+    const Slot* slots = SlotsFor(stripe);
+    size_t index = hash & mask;
+    for (size_t probe = 0; probe < kHintProbe; ++probe) {
+      const uint64_t slot_key =
+          slots[index].key.load(std::memory_order_relaxed);
+      if (slot_key == key) {
+        *value = slots[index].value.load(std::memory_order_relaxed);
+        return true;
+      }
+      if (slot_key == kEmptyKey) {
+        return false;
+      }
+      index = (index + 1) & mask;
+    }
+    return false;
   }
 
   // Writer-side (externally serialized). Key must be absent and must not
@@ -346,7 +382,18 @@ class StripedAtomicIndex {
     }
   };
 
+  // The slot array to probe under a mask just loaded with acquire. A
+  // rebuild publishes its array before its mask and never shrinks a
+  // stripe, so an array loaded after the mask is at least mask + 1 slots:
+  // loading in the other order could pair an old, smaller array with a
+  // new mask and probe past its end.
+  static const Slot* SlotsFor(const Stripe& stripe) {
+    return stripe.slots.load(std::memory_order_acquire);
+  }
+
   static constexpr size_t kMinStripeSlots = 16;
+  // Probe length PeekHint follows before giving up on a hint.
+  static constexpr size_t kHintProbe = 4;
   static constexpr size_t kNpos = ~size_t{0};
   // Rebuild when used (live + tombstone) exceeds 7/10 of the stripe;
   // doubling only when live entries alone exceed 5/9 (flat_map's scheme).

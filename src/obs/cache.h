@@ -7,6 +7,11 @@
 //                      and NEVER admit on miss (a GET carries nothing to
 //                      store); metadata engines model the classic
 //                      get-or-admit access and leave *value empty.
+//   GetAppend(key, &out)  the same read, appending the bytes at
+//                      out->size() — qdlpd's zero-copy GET, which lands
+//                      them straight behind the reply header.
+//   PrefetchGets(keys, n)  a hint that those keys are about to be read;
+//                      qdlpd passes each window of buffered GET frames.
 //   Set(key, value, ttl)  serving write: admit if absent, store bytes
 //                      (value engines) or just ensure residency (metadata
 //                      engines, which ignore bytes and ttl).
@@ -24,6 +29,7 @@
 #ifndef QDLP_SRC_OBS_CACHE_H_
 #define QDLP_SRC_OBS_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -45,6 +51,27 @@ class Cache : public CacheObservable {
   // an empty stored value), metadata engines always leave it empty.
   // `value` may be null when the caller only wants the outcome.
   virtual bool Get(ObjectId key, std::string* value) = 0;
+
+  // Get in append form: a hit appends the value at out->size() (nothing,
+  // for metadata engines); a miss leaves *out as passed. Same outcome and
+  // counting as Get. The default goes through Get; the value engine reads
+  // straight from its slab into *out.
+  virtual bool GetAppend(ObjectId key, std::string* out) {
+    std::string value;
+    if (!Get(key, &value)) {
+      return false;
+    }
+    out->append(value);
+    return true;
+  }
+
+  // Hint that keys[0, count) are about to be read: an engine may prefetch
+  // what those reads will touch. Never changes an outcome, a counter or
+  // any state; the default does nothing.
+  virtual void PrefetchGets(const ObjectId* keys, size_t count) {
+    (void)keys;
+    (void)count;
+  }
 
   // Serving write. `ttl_seconds` is relative (0 = no expiry); metadata
   // engines ignore bytes and ttl and only ensure residency.

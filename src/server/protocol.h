@@ -109,16 +109,36 @@ inline uint64_t LoadU64(const uint8_t* p) {
          static_cast<uint64_t>(LoadU32(p + 4)) << 32;
 }
 
+inline void StoreU32(char* p, uint32_t v) {
+  p[0] = static_cast<char>(v & 0xFF);
+  p[1] = static_cast<char>((v >> 8) & 0xFF);
+  p[2] = static_cast<char>((v >> 16) & 0xFF);
+  p[3] = static_cast<char>((v >> 24) & 0xFF);
+}
+
 inline void AppendU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
+  char bytes[4];
+  StoreU32(bytes, v);
+  out->append(bytes, 4);
 }
 
 inline void AppendU64(std::string* out, uint64_t v) {
   AppendU32(out, static_cast<uint32_t>(v));
   AppendU32(out, static_cast<uint32_t>(v >> 32));
+}
+
+// Appends a frame header in one append.
+inline void AppendHeader(std::string* out, Op opcode, Status status,
+                         ObjectId key, size_t body_len) {
+  char header[kFrameHeaderLen];
+  StoreU32(header, static_cast<uint32_t>(body_len));
+  header[4] = static_cast<char>(opcode);
+  header[5] = static_cast<char>(status);
+  header[6] = 0;
+  header[7] = 0;
+  StoreU32(header + 8, static_cast<uint32_t>(key));
+  StoreU32(header + 12, static_cast<uint32_t>(key >> 32));
+  out->append(header, kFrameHeaderLen);
 }
 
 }  // namespace protocol_internal
@@ -172,17 +192,20 @@ inline ParseStatus ParseFrame(const uint8_t* data, size_t size, Frame* out,
 
 inline void AppendFrame(std::string* out, Op opcode, Status status,
                         ObjectId key, const void* body, size_t body_len) {
-  using protocol_internal::AppendU32;
-  using protocol_internal::AppendU64;
-  AppendU32(out, static_cast<uint32_t>(body_len));
-  out->push_back(static_cast<char>(opcode));
-  out->push_back(static_cast<char>(status));
-  out->push_back(0);
-  out->push_back(0);
-  AppendU64(out, key);
+  protocol_internal::AppendHeader(out, opcode, status, key, body_len);
   if (body_len != 0) {
     out->append(static_cast<const char*>(body), body_len);
   }
+}
+
+// Rewrites the status and body_len of the frame whose header starts at
+// (*out)[offset]: a response written header first, with its body then
+// appended in place behind it (qdlpd's zero-copy GET).
+inline void PatchFrameHeader(std::string* out, size_t offset, Status status,
+                             size_t body_len) {
+  char* header = out->data() + offset;
+  protocol_internal::StoreU32(header, static_cast<uint32_t>(body_len));
+  header[5] = static_cast<char>(status);
 }
 
 inline void AppendGetRequest(std::string* out, ObjectId key) {
@@ -191,14 +214,9 @@ inline void AppendGetRequest(std::string* out, ObjectId key) {
 
 inline void AppendSetRequest(std::string* out, ObjectId key,
                              uint32_t ttl_seconds, const std::string& value) {
-  using protocol_internal::AppendU32;
-  AppendU32(out, static_cast<uint32_t>(4 + value.size()));
-  out->push_back(static_cast<char>(Op::kSet));
-  out->push_back(static_cast<char>(Status::kOk));
-  out->push_back(0);
-  out->push_back(0);
-  protocol_internal::AppendU64(out, key);
-  AppendU32(out, ttl_seconds);
+  protocol_internal::AppendHeader(out, Op::kSet, Status::kOk, key,
+                                  4 + value.size());
+  protocol_internal::AppendU32(out, ttl_seconds);
   out->append(value);
 }
 

@@ -10,7 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -26,6 +28,10 @@ static_assert(kFirstReservedKey == StripedAtomicIndex::kTombstoneKey,
 namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
+// Buffered frames served per window: the window's GET keys go to the
+// cache's prefetch hint first, so their index, cell and value lines are
+// in flight together instead of one dependent miss at a time.
+constexpr size_t kFrameWindow = 32;
 
 // Output flow control: once a connection's unsent responses exceed the
 // high-water mark, stop reading/parsing its requests until the backlog
@@ -70,13 +76,49 @@ int MakeListener(uint16_t port, std::string* error) {
   return fd;
 }
 
+// Request bytes awaiting parse. Grows without zero-filling: read() is
+// about to overwrite whatever it reserves.
+class InBuffer {
+ public:
+  uint8_t* data() { return bytes_.get(); }
+  size_t size() const { return size_; }
+
+  // Room for `n` more bytes at data() + size(); Commit claims them.
+  uint8_t* Reserve(size_t n) {
+    if (size_ + n > capacity_) {
+      const size_t grown = std::max(2 * capacity_, size_ + n);
+      auto fresh = std::make_unique_for_overwrite<uint8_t[]>(grown);
+      if (size_ != 0) {
+        memcpy(fresh.get(), bytes_.get(), size_);
+      }
+      bytes_ = std::move(fresh);
+      capacity_ = grown;
+    }
+    return bytes_.get() + size_;
+  }
+  void Commit(size_t n) { size_ += n; }
+
+  // Drops the first `n` bytes (parsed frames).
+  void Consume(size_t n) {
+    if (n < size_) {
+      memmove(bytes_.get(), bytes_.get() + n, size_ - n);
+    }
+    size_ -= n;
+  }
+
+ private:
+  std::unique_ptr<uint8_t[]> bytes_;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
+};
+
 }  // namespace
 
 // Per-connection buffers. `in` accumulates raw bytes until whole frames
 // parse out; `out` accumulates responses until the socket drains them.
 struct QdlpdServer::Connection {
   int fd = -1;
-  std::vector<uint8_t> in;
+  InBuffer in;
   size_t in_start = 0;  // bytes of `in` already parsed
   std::string out;
   size_t out_start = 0;  // bytes of `out` already written
@@ -285,18 +327,15 @@ void QdlpdServer::RunWorker(Worker* worker) {
         // Read everything available; Pump below serves every complete
         // frame in one pass — the wire-level request batch.
         while (ok) {
-          const size_t old_size = conn->in.size();
-          conn->in.resize(old_size + kReadChunk);
           const ssize_t r =
-              read(conn->fd, conn->in.data() + old_size, kReadChunk);
+              read(conn->fd, conn->in.Reserve(kReadChunk), kReadChunk);
           if (r > 0) {
-            conn->in.resize(old_size + static_cast<size_t>(r));
+            conn->in.Commit(static_cast<size_t>(r));
             if (static_cast<size_t>(r) < kReadChunk) {
               break;
             }
             continue;
           }
-          conn->in.resize(old_size);
           if (r == 0) {
             // Half-close: serve what we have and every response still
             // buffered, then close once the output drains (Pump).
@@ -329,38 +368,55 @@ bool QdlpdServer::Pump(Worker* worker, Connection* conn) {
   while (true) {
     // Serve buffered frames until the bytes run out or the unsent output
     // crosses the high-water mark (checked per frame, so the backlog
-    // overshoots by at most one response).
+    // overshoots by at most one response). Frames parse a window at a
+    // time; the window's GET keys go to the cache's prefetch hint before
+    // any of them is served.
     bool paused = false;
-    while (!conn->want_close) {
+    while (!conn->want_close && !paused) {
       if (conn->OutBacklog() >= kOutHighWater) {
         paused = true;
         break;
       }
-      Frame frame;
-      size_t consumed = 0;
-      const ParseStatus status =
-          ParseFrame(conn->in.data() + conn->in_start,
-                     conn->in.size() - conn->in_start, &frame, &consumed);
-      if (status == ParseStatus::kNeedMore) {
+      Frame frames[kFrameWindow];
+      size_t lens[kFrameWindow];
+      ObjectId gets[kFrameWindow];
+      size_t parsed = 0;
+      size_t num_gets = 0;
+      size_t offset = conn->in_start;
+      ParseStatus status = ParseStatus::kFrame;
+      while (parsed < kFrameWindow) {
+        status = ParseFrame(conn->in.data() + offset,
+                            conn->in.size() - offset, &frames[parsed],
+                            &lens[parsed]);
+        if (status != ParseStatus::kFrame) {
+          break;
+        }
+        offset += lens[parsed];
+        if (frames[parsed].opcode == Op::kGet) {
+          gets[num_gets++] = frames[parsed].key;
+        }
+        ++parsed;
+      }
+      if (parsed == 0) {
+        if (status == ParseStatus::kError) {
+          // The frame boundary is lost; answer once and hang up.
+          AppendFrame(&conn->out, Op::kPing, Status::kBadRequest, 0, nullptr,
+                      0);
+          conn->want_close = true;
+        }
         break;
       }
-      if (status == ParseStatus::kError) {
-        // The frame boundary is lost; answer once and hang up.
-        AppendFrame(&conn->out, Op::kPing, Status::kBadRequest, 0, nullptr,
-                    0);
-        conn->want_close = true;
-        break;
+      cache_->PrefetchGets(gets, num_gets);
+      for (size_t i = 0; i < parsed; ++i) {
+        if (i > 0 && conn->OutBacklog() >= kOutHighWater) {
+          paused = true;
+          break;
+        }
+        conn->in_start += lens[i];
+        HandleFrame(frames[i], &conn->out);
       }
-      conn->in_start += consumed;
-      HandleFrame(frame, &conn->out);
     }
-    if (conn->in_start == conn->in.size()) {
-      conn->in.clear();
-    } else if (conn->in_start > 0) {
-      conn->in.erase(conn->in.begin(),
-                     conn->in.begin() +
-                         static_cast<std::ptrdiff_t>(conn->in_start));
-    }
+    conn->in.Consume(conn->in_start);
     conn->in_start = 0;
     if (!worker->FlushOut(conn)) {
       return false;
@@ -395,12 +451,15 @@ void QdlpdServer::HandleFrame(const Frame& request, std::string* out) {
   }
   switch (request.opcode) {
     case Op::kGet: {
-      std::string value;
-      if (cache_->Get(request.key, &value)) {
-        AppendFrame(out, Op::kGet, Status::kOk, request.key, value.data(),
-                    value.size());
+      // Zero-copy: the header goes out first, the engine appends the value
+      // straight behind it, and the header is patched to match.
+      const size_t header = out->size();
+      AppendFrame(out, Op::kGet, Status::kOk, request.key, nullptr, 0);
+      if (cache_->GetAppend(request.key, out)) {
+        PatchFrameHeader(out, header, Status::kOk,
+                         out->size() - header - kFrameHeaderLen);
       } else {
-        AppendFrame(out, Op::kGet, Status::kMiss, request.key, nullptr, 0);
+        PatchFrameHeader(out, header, Status::kMiss, 0);
       }
       return;
     }

@@ -17,7 +17,17 @@
 // connection per epoll wakeup and writes all responses in one stream —
 // the wire-level analogue of the BP-Wrapper insert buffers. A pipelining
 // client therefore amortizes both syscalls and cache-lock acquisitions
-// across the batch (bench/server_qps measures exactly this).
+// across the batch (bench/server_qps measures exactly this). Frames are
+// served in windows of up to 32: the window's GET keys first go to
+// Cache::PrefetchGets, which starts every index, cell and value line the
+// window will read (MICA's staged lookup pipeline), then each frame is
+// served in order.
+//
+// Zero-copy GET: HandleFrame appends the reply header, has the engine
+// append the value bytes straight behind it (Cache::GetAppend, which on
+// the value engine is one seqlock copy out of the slab arena), and
+// patches the header's body_len or status — no per-GET string, no
+// second copy.
 //
 // Flow control: responses buffer per connection and drain as the socket
 // accepts them. Once a connection's unsent output crosses a high-water

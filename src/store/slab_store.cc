@@ -242,6 +242,7 @@ SlabStore::ReadResult SlabStore::Read(uint32_t cell, uint64_t id,
                                       std::string* out) const {
   QDLP_DCHECK(cell < cells_.size());
   const Cell& c = cells_[cell];
+  const size_t base = out->size();
   while (true) {
     const uint64_t v1 = c.version.load(std::memory_order_acquire);
     if ((v1 & 1) != 0) {
@@ -254,7 +255,6 @@ SlabStore::ReadResult SlabStore::Read(uint32_t cell, uint64_t id,
     if (cell_id != id) {
       result = ReadResult::kStale;
     } else if (chunk == kNullChunk) {
-      out->clear();
       result = ReadResult::kNoValue;
     } else if (expiry != 0 && now_s >= expiry) {
       result = ReadResult::kExpired;
@@ -262,15 +262,16 @@ SlabStore::ReadResult SlabStore::Read(uint32_t cell, uint64_t id,
       const size_t len = ChunkLen(chunk);
       const std::atomic<uint64_t>* words =
           domains_[ChunkDomain(chunk)].words.get() + ChunkOffset(chunk);
-      out->resize(len);
+      out->resize(base + len);
+      char* dst = out->data() + base;
       size_t i = 0;
       for (; i + 8 <= len; i += 8) {
         const uint64_t w = words[i / 8].load(std::memory_order_relaxed);
-        std::memcpy(&(*out)[i], &w, 8);
+        std::memcpy(dst + i, &w, 8);
       }
       if (i < len) {
         const uint64_t w = words[i / 8].load(std::memory_order_relaxed);
-        std::memcpy(&(*out)[i], &w, len - i);
+        std::memcpy(dst + i, &w, len - i);
       }
       result = ReadResult::kHit;
     }
@@ -280,6 +281,7 @@ SlabStore::ReadResult SlabStore::Read(uint32_t cell, uint64_t id,
     if (c.version.load(std::memory_order_acquire) == v1) {
       return result;
     }
+    out->resize(base);  // drop the torn copy; the caller's prefix stays
   }
 }
 

@@ -1,7 +1,7 @@
 // SlabStore — the value-storing layer under qdlpd (docs/SERVER.md).
 //
-// The metadata caches manage stable u32 slot locations (probation ring
-// positions, CLOCK slots, slab nodes); this store gives every one of those
+// The metadata caches manage stable u32 slot locations (probation slots,
+// CLOCK slots, slab nodes); this store gives every one of those
 // locations a value *cell*, so cached bytes ride exactly the slots the
 // intrusive queues already shuffle. The cache's eviction path frees a
 // victim's value in O(1) under the home-domain mutex it already holds —
@@ -11,9 +11,8 @@
 // Layout:
 //  * One cell per cache location (4 atomic words: seqlock version, owner
 //    id, packed chunk reference, expiry). Cells are keyed by the cache's
-//    location index, so a metadata move (probation -> main promotion, a
-//    probation compaction after Remove()) is MoveCell(), not a copy of the
-//    bytes.
+//    location index, so a metadata move (probation -> main promotion) is
+//    MoveCell(), not a copy of the bytes.
 //  * Per-domain arenas of atomic u64 words holding the value bytes. Each
 //    eviction domain owns one arena with a bump allocator and a buddy
 //    system: power-of-two size-class freelists, larger free chunks split
@@ -30,11 +29,12 @@
 //    cell — must hold the owning domain's mutex (the cache's shard mutex).
 //    There is exactly one writer per cell at a time.
 //  * Read() is lock-free: a seqlock loop that snapshots the cell header,
-//    copies the value words, and validates the version. A concurrent
-//    Commit/Clear/Move of the same cell, or a Free+reuse of the chunk the
-//    reader is copying, bumps the version and the reader retries (the
-//    arena is atomic words with relaxed ops, so a torn copy is detected,
-//    never undefined behavior).
+//    appends the value words to the caller's buffer, and validates the
+//    version. A concurrent Commit/Clear/Move of the same cell, or a
+//    Free+reuse of the chunk the reader is copying, bumps the version and
+//    the reader drops the copy and retries (the arena is atomic words
+//    with relaxed ops, so a torn copy is detected, never undefined
+//    behavior).
 //  * A reader passes the id it expects the cell to hold; an id mismatch
 //    (the cache moved or replaced the occupant between the caller's index
 //    probe and the cell read) returns kStale and the caller re-probes.
@@ -52,6 +52,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "src/util/prefetch.h"
 
 namespace qdlp {
 
@@ -115,10 +117,40 @@ class SlabStore {
 
   // ---- Reader side (lock-free). ----
 
-  // Copies the cell's value into *out if the cell is owned by `id` and
-  // not expired at `now_s`. kNoValue leaves *out empty.
+  // Appends the cell's value at out->size() if the cell is owned by `id`
+  // and not expired at `now_s` — the one reader, so a serving path can
+  // land the bytes straight behind a frame header it already wrote. Every
+  // other outcome, and every seqlock retry, leaves *out exactly as passed.
   ReadResult Read(uint32_t cell, uint64_t id, uint64_t now_s,
                   std::string* out) const;
+
+  // Read hints, for a batch of cells about to be Read: PrefetchCell pulls
+  // in the cell header, PrefetchValue (a pass later, once the header has
+  // landed) the first lines of its committed chunk. Relaxed loads only,
+  // no validation and no effect on any outcome: a cell or chunk that
+  // changes underneath costs one wasted prefetch.
+  void PrefetchCell(uint32_t cell) const {
+    if (cell < cells_.size()) {
+      PrefetchForRead(&cells_[cell]);
+    }
+  }
+  void PrefetchValue(uint32_t cell) const {
+    if (cell >= cells_.size()) {
+      return;
+    }
+    const ChunkRef chunk = cells_[cell].chunk.load(std::memory_order_relaxed);
+    const size_t domain = ChunkDomain(chunk);
+    if (chunk == kNullChunk || domain >= domains_.size() ||
+        ChunkOffset(chunk) >= arena_words_) {
+      return;
+    }
+    const char* bytes = reinterpret_cast<const char*>(
+        domains_[domain].words.get() + ChunkOffset(chunk));
+    PrefetchForRead(bytes);
+    if (ChunkLen(chunk) > 64) {
+      PrefetchForRead(bytes + 64);
+    }
+  }
 
   // Approximate bytes of live value data (sum of committed chunk lengths),
   // maintained relaxed per domain.

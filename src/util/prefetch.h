@@ -1,11 +1,12 @@
-// Portable software-prefetch shim for the batched replay hot loops.
+// Portable software-prefetch shim for the batched hot loops.
 //
 // The sweep engine (src/sim/batch_replay) pipelines index probes: while
 // request i is being applied to a policy, the probe target of request
 // i + kBatchPrefetchDepth is prefetched, so the dependent load at its turn
 // hits a line already in flight. Both index backings cooperate: FlatMap
 // prefetches the probe-start slot of the hashed key, DenseIndex the
-// directly-addressed slot.
+// directly-addressed slot. qdlpd does the same per window of buffered GET
+// frames (Cache::PrefetchGets): index slot, value cell, value bytes.
 
 #ifndef QDLP_SRC_UTIL_PREFETCH_H_
 #define QDLP_SRC_UTIL_PREFETCH_H_

@@ -108,12 +108,26 @@ bool RefClock::Access(ObjectId id) {
   while (queue_.size() >= capacity_) {
     auto [victim, counter] = queue_.front();
     queue_.pop_front();
-    if (counter > 0) {
+    if (victim == kHole) {
+      --holes_;  // a removed object's place: free space, nothing evicted
+    } else if (counter > 0) {
       queue_.emplace_back(victim, counter - 1);  // second chance
+    } else {
+      ++evictions_;  // evicted outright
     }
-    // else: evicted outright
   }
   queue_.emplace_back(id, 0);
+  return false;
+}
+
+bool RefClock::Remove(ObjectId id) {
+  for (auto& entry : queue_) {
+    if (entry.first == id) {
+      entry = {kHole, 0};
+      ++holes_;
+      return true;
+    }
+  }
   return false;
 }
 
@@ -221,8 +235,22 @@ bool RefS3Fifo::Access(ObjectId id) {
   MakeRoom();
   if (ghost_.Consume(id)) {
     main_.emplace_back(id, 0);
+    ++counters_.ghost_hits;
   } else {
     small_.emplace_back(id, 0);
+  }
+  return false;
+}
+
+bool RefS3Fifo::Remove(ObjectId id) {
+  for (auto* queue : {&small_, &main_}) {
+    for (auto it = queue->begin(); it != queue->end(); ++it) {
+      if (it->first == id) {
+        queue->erase(it);
+        ++counters_.evictions;
+        return true;
+      }
+    }
   }
   return false;
 }
@@ -244,8 +272,11 @@ void RefS3Fifo::EvictSmall() {
     // Re-accessed on probation: promote to main (frees no space; the
     // MakeRoom loop keeps going).
     main_.emplace_back(victim, 0);
+    ++counters_.promotions;
   } else {
     ghost_.Insert(victim);
+    ++counters_.evictions;
+    ++counters_.demotions;
   }
 }
 
@@ -255,8 +286,10 @@ void RefS3Fifo::EvictMain() {
     main_.pop_front();
     if (freq > 0) {
       main_.emplace_back(candidate, freq - 1);  // another lap at freq - 1
+      ++counters_.promotions;
       continue;
     }
+    ++counters_.evictions;
     return;  // evicted outright; main evictions are not ghosted
   }
 }
@@ -291,6 +324,7 @@ bool RefQdLpFifo::Access(ObjectId id) {
   // 3. Ghost hit: consume and admit straight into main (still a miss).
   if (ghost_.Consume(id)) {
     main_.Access(id);
+    ++counters_.ghost_hits;
     return false;
   }
   // 4. Cold miss: probation.
@@ -306,9 +340,27 @@ void RefQdLpFifo::EvictProbation() {
   probation_.pop_front();
   if (accessed) {
     main_.Access(victim);  // lazy promotion
+    ++counters_.promotions;
   } else {
     ghost_.Insert(victim);  // quick demotion
+    ++counters_.evictions;
+    ++counters_.demotions;
   }
+}
+
+bool RefQdLpFifo::Remove(ObjectId id) {
+  for (auto it = probation_.begin(); it != probation_.end(); ++it) {
+    if (it->first == id) {
+      probation_.erase(it);
+      ++counters_.evictions;
+      return true;
+    }
+  }
+  if (main_.Remove(id)) {
+    ++counters_.evictions;
+    return true;
+  }
+  return false;
 }
 
 bool RefQdLpFifo::Contains(ObjectId id) const {

@@ -93,23 +93,45 @@ class RefLfu : public ReferenceModel {
   std::vector<Entry> entries_;
 };
 
+// Flow counters of the removal-capable models, counted the way the
+// concurrent engines count them (CacheStats): every object leaving cache
+// space is an eviction (Remove included), a promotion is a move or lap
+// that keeps an object, a demotion a quick demotion into the ghost.
+struct RefCounters {
+  uint64_t evictions = 0;
+  uint64_t promotions = 0;
+  uint64_t demotions = 0;
+  uint64_t ghost_hits = 0;
+};
+
 // k-bit CLOCK as a reinsertion queue: the ring-buffer-with-hand formulation
 // in src/policies/clock.cc is behaviourally identical to a FIFO where the
 // front entry is reinserted at the back (counter - 1) while its counter is
 // positive. The queue form is the obviously-correct one.
+//
+// Remove leaves a hole where the object sat, as a ring slot stays empty in
+// place: the hole still fills a queue position, and the hand reaching it
+// (the front) takes it as free space instead of evicting.
 class RefClock : public ReferenceModel {
  public:
   RefClock(size_t capacity, int bits);
 
   bool Access(ObjectId id) override;
-  size_t size() const override { return queue_.size(); }
+  bool Remove(ObjectId id);
+  size_t size() const override { return queue_.size() - holes_; }
   bool Contains(ObjectId id) const override;
   const char* name() const override { return "ref-clock"; }
+  // Objects the hand evicted (removals not included).
+  uint64_t evictions() const { return evictions_; }
 
  private:
+  static constexpr ObjectId kHole = ~ObjectId{0};
+
   const size_t capacity_;
   const int max_counter_;
   std::deque<std::pair<ObjectId, int>> queue_;  // front = hand
+  size_t holes_ = 0;
+  uint64_t evictions_ = 0;
 };
 
 // SIEVE: visited bits, a hand that survives evictions, new objects at the
@@ -167,6 +189,10 @@ class RefS3Fifo : public ReferenceModel {
   RefS3Fifo(size_t capacity, double small_fraction, double ghost_factor);
 
   bool Access(ObjectId id) override;
+  // Drops a resident object from its queue (no ghost trace); the other
+  // entries keep their order.
+  bool Remove(ObjectId id);
+  const RefCounters& counters() const { return counters_; }
   size_t size() const override { return small_.size() + main_.size(); }
   bool Contains(ObjectId id) const override;
   const char* name() const override { return "ref-s3fifo"; }
@@ -181,6 +207,7 @@ class RefS3Fifo : public ReferenceModel {
   std::deque<std::pair<ObjectId, int>> small_;  // (id, freq); front = oldest
   std::deque<std::pair<ObjectId, int>> main_;
   RefGhost ghost_;
+  RefCounters counters_;
 };
 
 // QD-LP-FIFO (the paper's §4 composition): probationary FIFO with accessed
@@ -192,6 +219,15 @@ class RefQdLpFifo : public ReferenceModel {
               size_t ghost_capacity);
 
   bool Access(ObjectId id) override;
+  // Drops a resident object (no ghost trace): erased from probation, the
+  // survivors keeping their order, or left as a hole in the main CLOCK.
+  bool Remove(ObjectId id);
+  // Main evictions come from the CLOCK model; its laps are not counted.
+  RefCounters counters() const {
+    RefCounters counters = counters_;
+    counters.evictions += main_.evictions();
+    return counters;
+  }
   size_t size() const override { return probation_.size() + main_.size(); }
   bool Contains(ObjectId id) const override;
   const char* name() const override { return "ref-qd-lp-fifo"; }
@@ -203,6 +239,7 @@ class RefQdLpFifo : public ReferenceModel {
   std::deque<std::pair<ObjectId, bool>> probation_;  // (id, accessed bit)
   RefClock main_;
   RefGhost ghost_;
+  RefCounters counters_;
 };
 
 // Builds the exact oracle for a production policy name, reproducing the

@@ -23,6 +23,8 @@
 #include "src/concurrent/sharded_lru.h"
 #include "src/core/policy_factory.h"
 #include "src/trace/generators.h"
+#include "src/util/random.h"
+#include "src/util/zipf.h"
 #include "tests/oracle/differential_runner.h"
 #include "tests/oracle/reference_models.h"
 
@@ -204,6 +206,70 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(kShapes),
                        ::testing::ValuesIn(kCacheSizes)),
     CaseName);
+
+// ---------------------------------------------------------------------------
+// Removal lockstep: one-shard concurrent QD-LP-FIFO and S3-FIFO under a
+// seeded mix of Get and Remove, against the removal-capable oracles. Every
+// Get's hit/miss and every Remove's result must agree, and so must the
+// flow counters: evictions, promotions, demotions and ghost hits.
+
+template <typename Model>
+void RunRemovalDifferential(ConcurrentCache& cache, Model& model,
+                            size_t cache_size, uint64_t seed) {
+  Rng rng(seed);
+  ZipfSampler zipf(/*n=*/4 * cache_size, /*skew=*/0.8);
+  uint64_t removes = 0;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    const ObjectId id = zipf.Sample(rng);
+    if (rng.NextBounded(5) == 0) {
+      const bool removed = model.Remove(id);
+      ASSERT_EQ(cache.Remove(id), removed) << "remove " << i << " id " << id;
+      removes += removed ? 1 : 0;
+    } else {
+      ASSERT_EQ(cache.Get(id), model.Access(id))
+          << "get " << i << " id " << id;
+    }
+    if (i % 997 == 0) {
+      cache.CheckInvariants();
+    }
+  }
+  cache.CheckInvariants();
+  EXPECT_GT(removes, kRequests / 20);  // the removals did hit residents
+  const CacheStats stats = cache.Stats();
+  const oracle::RefCounters counters = model.counters();
+  EXPECT_EQ(stats.evictions, counters.evictions);
+  EXPECT_EQ(stats.promotions, counters.promotions);
+  EXPECT_EQ(stats.demotions, counters.demotions);
+  EXPECT_EQ(stats.ghost_hits, counters.ghost_hits);
+  EXPECT_EQ(stats.size, model.size());
+}
+
+class RemovalDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
+
+TEST_P(RemovalDifferentialTest, QdLpFifoMatchesOracle) {
+  const auto& [cache_size, seed] = GetParam();
+  ConcurrentQdLpFifo cache(cache_size, /*num_stripes=*/4);
+  oracle::RefQdLpFifo model(cache.probation_capacity(), cache.main_capacity(),
+                            /*ghost_capacity=*/cache.main_capacity());
+  RunRemovalDifferential(cache, model, cache_size, seed);
+}
+
+TEST_P(RemovalDifferentialTest, S3FifoMatchesOracle) {
+  const auto& [cache_size, seed] = GetParam();
+  ConcurrentS3FifoCache cache(cache_size, 0.10, 0.9, /*num_stripes=*/4);
+  oracle::RefS3Fifo model(cache_size, 0.10, 0.9);
+  RunRemovalDifferential(cache, model, cache_size, seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RemovalDifferentialTest,
+    ::testing::Combine(::testing::ValuesIn(kCacheSizes),
+                       ::testing::Values(uint64_t{1}, uint64_t{0x5eed})),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, uint64_t>>& info) {
+      return "size" + std::to_string(std::get<0>(info.param)) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Bounded divergence: adaptive policies legitimately differ from any naive

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/concurrent/concurrent_cache.h"
 #include "src/core/cache_api.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
@@ -313,6 +315,139 @@ TEST_F(ServerE2eTest, ManyConnectionsAcrossWorkers) {
     ASSERT_EQ(clients[i]->Get(static_cast<ObjectId>(other), &value),
               Status::kOk);
     EXPECT_EQ(value, "conn" + std::to_string(other));
+  }
+  server_->cache().CheckInvariants();
+}
+
+// A TTL clock both engines of the zero-copy test share, stepped by hand.
+std::atomic<uint64_t> g_fake_now{1000};
+uint64_t FakeNow() { return g_fake_now.load(); }
+
+// One wire request and the reply the in-process engine gives to it.
+struct ExpectedReply {
+  Op opcode;
+  Status status;
+  ObjectId key;
+  std::string body;
+};
+
+// Zero-copy GET: one pipelined batch crossing several prefetch windows and
+// 64 KiB read() chunks, interleaving SET, overwrite, DELETE and GET with
+// hit, miss, no-value and expired outcomes over every value-length edge.
+// Each reply must equal, byte for byte, what Cache::Get (or Set/Delete) of
+// an identically configured in-process engine returns at the same point
+// of the same sequence.
+TEST_F(ServerE2eTest, ZeroCopyGetRepliesMatchInProcessGet) {
+  QdlpdOptions options = SmallServerOptions();
+  options.cache.max_value_len = kMaxValueLen;
+  options.cache.value_arena_bytes = 32 << 20;
+  options.cache.now_fn = &FakeNow;
+  g_fake_now = 1000;
+  StartServer(options);
+  std::unique_ptr<Cache> local = MakeCache(options.cache);
+  ASSERT_NE(local, nullptr);
+  QdlpdClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+
+  const auto value_for = [](ObjectId key, size_t len, int version) {
+    std::string value(len, '\0');
+    for (size_t i = 0; i < len; ++i) {
+      value[i] = static_cast<char>(key * 131 + i * 7 + version * 17);
+    }
+    return value;
+  };
+  std::string& wire = client.request_buffer();
+  std::vector<ExpectedReply> expected;
+  const auto get = [&](ObjectId key) {
+    AppendGetRequest(&wire, key);
+    std::string value;
+    const bool hit = local->Get(key, &value);
+    expected.push_back(
+        {Op::kGet, hit ? Status::kOk : Status::kMiss, key, value});
+  };
+  const auto set = [&](ObjectId key, uint32_t ttl, const std::string& value) {
+    AppendSetRequest(&wire, key, ttl, value);
+    const Cache::SetStatus status = local->Set(key, value, ttl);
+    ASSERT_EQ(status, Cache::SetStatus::kOk) << key;
+    expected.push_back({Op::kSet, Status::kOk, key, ""});
+  };
+  const auto del = [&](ObjectId key) {
+    AppendDeleteRequest(&wire, key);
+    expected.push_back(
+        {Op::kDelete, local->Delete(key) ? Status::kOk : Status::kMiss, key,
+         ""});
+  };
+  const auto exchange = [&] {
+    std::vector<OwnedFrame> replies;
+    ASSERT_TRUE(client.Exchange(expected.size(), &replies));
+    ASSERT_EQ(replies.size(), expected.size());
+    for (size_t i = 0; i < replies.size(); ++i) {
+      EXPECT_EQ(replies[i].opcode, expected[i].opcode) << "reply " << i;
+      EXPECT_EQ(replies[i].status, expected[i].status) << "reply " << i;
+      EXPECT_EQ(replies[i].key, expected[i].key) << "reply " << i;
+      ASSERT_EQ(replies[i].body, expected[i].body) << "reply " << i;
+    }
+    expected.clear();
+  };
+
+  // Setup: keys 200..209 get a 5 s ttl, and keys 300..304 are resident
+  // with no value committed (metadata admission) on both engines.
+  for (ObjectId key = 200; key < 210; ++key) {
+    set(key, /*ttl=*/5, value_for(key, 9 + key % 3, 0));
+  }
+  exchange();
+  for (ObjectId key = 300; key < 305; ++key) {
+    dynamic_cast<ConcurrentCache&>(server_->cache()).Admit(key);
+    dynamic_cast<ConcurrentCache&>(*local).Admit(key);
+  }
+  ASSERT_EQ(local->Stats().size, 15u);
+  g_fake_now = 1010;  // the ttl keys are now expired
+
+  const std::vector<size_t> lengths = {0, 1, 7, 8, 9, 63, 64, 65, 8191};
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    const ObjectId key = 10 + i;
+    get(key);  // miss
+    set(key, 0, value_for(key, lengths[i], 1));
+    get(key);  // hit
+    // Overwrite with the next length: a chunk of a different class.
+    set(key, 0, value_for(key, lengths[(i + 1) % lengths.size()], 2));
+    get(key);
+    get(200 + i);  // expired
+    get(300 + i % 5);  // resident, no value
+  }
+  // Filler GETs over the keys above, so the batch spans several windows.
+  for (int round = 0; round < 8; ++round) {
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      get(10 + i);
+    }
+    get(999);  // never stored
+  }
+  for (size_t i = 0; i < lengths.size(); i += 2) {
+    del(10 + i);
+    get(10 + i);  // deleted: miss
+    del(10 + i);  // already gone
+  }
+  // Largest value last: its 4 MiB reply crosses the output high-water
+  // mark, and the requests behind it are small enough to sit buffered.
+  set(50, 0, value_for(50, kMaxValueLen, 3));
+  get(50);
+  set(50, 0, value_for(50, 65, 4));
+  get(50);
+  del(50);
+  get(50);
+  ASSERT_GT(wire.size(), size_t{64} << 10);
+  ASSERT_GT(expected.size(), 4 * size_t{32});
+  exchange();
+
+  // The expired GETs reaped their keys on both sides alike.
+  CacheStats wire_stats;
+  ASSERT_TRUE(client.GetStats(&wire_stats));
+  const CacheStats local_stats = local->Stats();
+  size_t count = 0;
+  const StatsWireField* fields = StatsWireFields(&count);
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(wire_stats.*fields[i].member, local_stats.*fields[i].member)
+        << fields[i].key;
   }
   server_->cache().CheckInvariants();
 }

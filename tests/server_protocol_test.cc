@@ -91,6 +91,73 @@ TEST(ServerProtocolTest, ResponseFrameCarriesStatusAndBody) {
 
 // Feed a valid frame one byte at a time: every prefix must be kNeedMore
 // and the full buffer must parse.
+// The header bytes pinned by hand, independently of the encoder: u32
+// body_len, opcode, status, two zero bytes, u64 key, all little-endian.
+std::string PinnedHeader(Op opcode, Status status, ObjectId key,
+                         uint32_t body_len) {
+  std::string header;
+  for (int i = 0; i < 4; ++i) {
+    header.push_back(static_cast<char>((body_len >> (8 * i)) & 0xFF));
+  }
+  header.push_back(static_cast<char>(opcode));
+  header.push_back(static_cast<char>(status));
+  header.push_back('\0');
+  header.push_back('\0');
+  for (int i = 0; i < 8; ++i) {
+    header.push_back(static_cast<char>((key >> (8 * i)) & 0xFF));
+  }
+  return header;
+}
+
+TEST(ServerProtocolTest, HeaderBytesArePinned) {
+  const std::string max_body(kMaxBodyLen, 'b');
+  std::string wire;
+  for (const Op opcode :
+       {Op::kGet, Op::kSet, Op::kDelete, Op::kStats, Op::kPing}) {
+    for (const Status status : {Status::kOk, Status::kMiss, Status::kNoSpace,
+                                Status::kBadRequest, Status::kTooLarge}) {
+      for (const ObjectId key : {ObjectId{0}, kFirstReservedKey - 1}) {
+        for (const size_t body_len : {size_t{0}, kMaxBodyLen}) {
+          wire = "prefix";
+          AppendFrame(&wire, opcode, status, key, max_body.data(), body_len);
+          ASSERT_EQ(wire.size(), 6 + kFrameHeaderLen + body_len);
+          EXPECT_EQ(wire.substr(0, 6), "prefix");
+          EXPECT_EQ(wire.substr(6, kFrameHeaderLen),
+                    PinnedHeader(opcode, status, key,
+                                 static_cast<uint32_t>(body_len)))
+              << static_cast<int>(opcode) << "/" << static_cast<int>(status)
+              << " key " << key << " body_len " << body_len;
+        }
+      }
+    }
+  }
+  // The request helpers share the encoder.
+  wire.clear();
+  AppendSetRequest(&wire, kFirstReservedKey - 1, /*ttl_seconds=*/7, "xyz");
+  EXPECT_EQ(wire.substr(0, kFrameHeaderLen),
+            PinnedHeader(Op::kSet, Status::kOk, kFirstReservedKey - 1, 7));
+  EXPECT_EQ(wire.substr(kFrameHeaderLen), std::string("\x07\0\0\0xyz", 7));
+}
+
+TEST(ServerProtocolTest, PatchedHeaderMatchesDirectEncoding) {
+  // The zero-copy GET shape: header first, body appended behind it, then
+  // the header patched — identical to encoding the final frame at once.
+  const std::string body = "value bytes";
+  std::string patched = "earlier reply";
+  const size_t offset = patched.size();
+  AppendFrame(&patched, Op::kGet, Status::kOk, 99, nullptr, 0);
+  patched += body;
+  PatchFrameHeader(&patched, offset, Status::kOk, body.size());
+  std::string direct = "earlier reply";
+  AppendFrame(&direct, Op::kGet, Status::kOk, 99, body.data(), body.size());
+  EXPECT_EQ(patched, direct);
+
+  std::string miss;
+  AppendFrame(&miss, Op::kGet, Status::kOk, 5, nullptr, 0);
+  PatchFrameHeader(&miss, 0, Status::kMiss, 0);
+  EXPECT_EQ(miss, PinnedHeader(Op::kGet, Status::kMiss, 5, 0));
+}
+
 TEST(ServerProtocolTest, IncrementalParseNeedsMoreOnEveryPrefix) {
   std::string wire;
   AppendSetRequest(&wire, 5, 0, "abc");

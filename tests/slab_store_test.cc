@@ -44,10 +44,68 @@ TEST(SlabStoreTest, EmptyValueRoundTrips) {
   const SlabStore::ChunkRef chunk = store.Allocate(0, 0);
   ASSERT_NE(chunk, SlabStore::kNullChunk);
   store.Commit(0, 7, chunk, 0);
+  // Read appends: a zero-length hit adds nothing behind the caller's bytes.
   std::string out = "sentinel";
+  EXPECT_EQ(store.Read(0, 7, 0, &out), SlabStore::ReadResult::kHit);
+  EXPECT_EQ(out, "sentinel");
+  out.clear();
   EXPECT_EQ(store.Read(0, 7, 0, &out), SlabStore::ReadResult::kHit);
   EXPECT_TRUE(out.empty());
   store.CheckInvariants();
+}
+
+TEST(SlabStoreTest, ReadAppendsBehindPrefix) {
+  SlabStore store(4, 1, 1 << 16, 4096);
+  const std::string prefix = "0123456789abcdef-header";
+  for (const size_t len : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                           size_t{63}, size_t{64}, size_t{65}, size_t{4096}}) {
+    std::string value(len, '\0');
+    for (size_t i = 0; i < len; ++i) {
+      value[i] = static_cast<char>('A' + (i * 7 + len) % 53);
+    }
+    const SlabStore::ChunkRef chunk = store.Allocate(0, len);
+    ASSERT_NE(chunk, SlabStore::kNullChunk);
+    store.WriteChunk(chunk, value.data(), len);
+    store.FreeChunk(store.Commit(1, 77, chunk, 0));
+    std::string out = prefix;
+    ASSERT_EQ(store.Read(1, 77, 0, &out), SlabStore::ReadResult::kHit);
+    EXPECT_EQ(out, prefix + value) << len;
+    // A second read stacks behind the first.
+    ASSERT_EQ(store.Read(1, 77, 0, &out), SlabStore::ReadResult::kHit);
+    EXPECT_EQ(out, prefix + value + value) << len;
+  }
+  store.CheckInvariants();
+}
+
+TEST(SlabStoreTest, NonHitReadsLeaveOutUnchanged) {
+  SlabStore store(4, 1, 1024, 64);
+  const SlabStore::ChunkRef chunk = store.Allocate(0, 5);
+  store.WriteChunk(chunk, "bytes", 5);
+  store.Commit(0, 31, chunk, /*expiry_s=*/100);
+  store.Commit(1, 32, SlabStore::kNullChunk, 0);
+  const std::string prefix = "kept-prefix";
+  std::string out = prefix;
+  EXPECT_EQ(store.Read(0, 99, 0, &out), SlabStore::ReadResult::kStale);
+  EXPECT_EQ(out, prefix);
+  EXPECT_EQ(store.Read(2, 31, 0, &out), SlabStore::ReadResult::kStale);
+  EXPECT_EQ(out, prefix);
+  EXPECT_EQ(store.Read(1, 32, 0, &out), SlabStore::ReadResult::kNoValue);
+  EXPECT_EQ(out, prefix);
+  EXPECT_EQ(store.Read(0, 31, /*now_s=*/100, &out),
+            SlabStore::ReadResult::kExpired);
+  EXPECT_EQ(out, prefix);
+  // The same calls on an empty string leave it empty.
+  std::string empty;
+  EXPECT_EQ(store.Read(1, 32, 0, &empty), SlabStore::ReadResult::kNoValue);
+  EXPECT_EQ(store.Read(0, 31, 100, &empty), SlabStore::ReadResult::kExpired);
+  EXPECT_TRUE(empty.empty());
+  // The hints never change an outcome, including on out-of-range cells.
+  store.PrefetchCell(0);
+  store.PrefetchValue(0);
+  store.PrefetchCell(1000);
+  store.PrefetchValue(1000);
+  EXPECT_EQ(store.Read(0, 31, 99, &out), SlabStore::ReadResult::kHit);
+  EXPECT_EQ(out, prefix + "bytes");
 }
 
 TEST(SlabStoreTest, OwnershipStampReadsAsNoValue) {

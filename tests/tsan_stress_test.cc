@@ -13,6 +13,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -329,6 +331,101 @@ TEST(TsanStressTest, QdLpFifoValueStorm) {
 // The lock-free index alone: one serialized writer churns insert/erase
 // while lock-free readers probe — TSan checks the seqlock + release/acquire
 // slot protocol directly, without a cache on top.
+// The qdlpd GET path under fire: readers hand each batch of keys to the
+// prefetch hint, then append-read every key behind a header-like prefix,
+// while writers SET, overwrite with changing lengths (chunks split,
+// coalesce and recycle through the buddy allocator) and DELETE, and a
+// Stats() reader runs alongside. Values frame their (key, version), so a
+// reader checks every hit on its own.
+TEST(TsanStressTest, PrefetchThenAppendReadStorm) {
+  QdlpValueOptions value_options;
+  value_options.arena_bytes = 256 << 10;
+  value_options.max_value_len = 2048;
+  ConcurrentQdLpFifo cache(512, /*num_stripes=*/8, /*num_shards=*/4,
+                           value_options);
+  Cache& face = cache;
+  constexpr uint64_t kKeys = 1024;
+  constexpr int kBatch = 8;
+
+  // "<key>:<version>:" then padding whose length and bytes follow from
+  // the pair; lengths span 1..~2000 bytes across versions.
+  const auto value_for = [](uint64_t key, uint64_t version) {
+    std::string value =
+        std::to_string(key) + ":" + std::to_string(version) + ":";
+    value.append((key * 31 + version * 257) % 2000,
+                 static_cast<char>('a' + (key + version) % 26));
+    return value;
+  };
+  const auto well_framed = [&](uint64_t key, std::string_view value) {
+    const size_t first = value.find(':');
+    const size_t second = value.find(':', first + 1);
+    if (first == std::string_view::npos || second == std::string_view::npos ||
+        value.substr(0, first) != std::to_string(key)) {
+      return false;
+    }
+    const uint64_t version =
+        std::stoull(std::string(value.substr(first + 1, second - first - 1)));
+    return value == value_for(key, version);
+  };
+
+  std::atomic<bool> stop{false};
+  std::thread stats_reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const CacheStats stats = cache.Stats();
+      EXPECT_LE(stats.hits, stats.requests);
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0x5e7u + static_cast<uint64_t>(t));
+      uint64_t version = static_cast<uint64_t>(t) << 32;
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const uint64_t key = rng.NextBounded(kKeys);
+        if (rng.NextBounded(8) == 0) {
+          face.Delete(key);
+        } else {
+          face.Set(key, value_for(key, ++version), /*ttl_seconds=*/0);
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0xbead0u + static_cast<uint64_t>(t));
+      const std::string prefix = "header-bytes";
+      std::string out;
+      ObjectId keys[kBatch];
+      for (int op = 0; op < kOpsPerThread; op += kBatch) {
+        for (ObjectId& key : keys) {
+          key = rng.NextBounded(kKeys);
+        }
+        face.PrefetchGets(keys, kBatch);
+        for (const ObjectId key : keys) {
+          out = prefix;
+          if (face.GetAppend(key, &out)) {
+            ASSERT_EQ(out.compare(0, prefix.size(), prefix), 0);
+            ASSERT_TRUE(well_framed(
+                key, std::string_view(out).substr(prefix.size())))
+                << key;
+          } else {
+            ASSERT_EQ(out, prefix);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  stop.store(true, std::memory_order_release);
+  stats_reader.join();
+  cache.CheckInvariants();
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits + stats.misses, stats.requests);
+  EXPECT_GT(stats.hits, 0u);
+}
+
 TEST(TsanStressTest, StripedIndexReadersVsWriter) {
   StripedAtomicIndex index(/*max_entries=*/1024, /*num_stripes=*/8);
   std::atomic<bool> stop{false};
