@@ -130,8 +130,44 @@ size_t QdProbationCapacity(size_t total_capacity, double probation_fraction) {
   return std::min(probation, total_capacity - 1);
 }
 
+// Splits a QD-composed name into its main-policy base and options:
+// "qd-lp-fifo" is the paper's QD over 2-bit CLOCK, "qd-<base>" QD over any
+// other base. Returns false for names that are not compositions.
+bool ParseQdName(const std::string& name, std::string* base,
+                 QdOptions* options) {
+  if (name == "qd-lp-fifo") {
+    *base = "clock2";
+    options->name = name;
+    return true;
+  }
+  if (name.rfind("qd-", 0) == 0) {
+    *base = name.substr(3);
+    return true;
+  }
+  return false;
+}
+
+// Wraps the main policy `make_main(main_capacity)` builds in a QD cache
+// over `factory`'s index backing; nullptr when there is no such main.
+template <typename IndexFactory, typename MakeMain>
+std::unique_ptr<EvictionPolicy> ComposeQd(size_t total_capacity,
+                                          const QdOptions& options,
+                                          IndexFactory factory,
+                                          MakeMain make_main) {
+  QDLP_CHECK(total_capacity >= 2);
+  QDLP_CHECK(options.probation_fraction > 0.0 && options.probation_fraction < 1.0);
+  const size_t probation =
+      QdProbationCapacity(total_capacity, options.probation_fraction);
+  auto main = make_main(total_capacity - probation);
+  if (main == nullptr) {
+    return nullptr;
+  }
+  return std::make_unique<BasicQdCache<IndexFactory>>(
+      probation, std::move(main), options, factory);
+}
+
 // Dense variants exist only for policies whose decisions depend on ids
-// solely through index lookups and queue order — never on the id's value,
+// solely through index lookups and list order — never on the id's value,
 // hash, or hash-table iteration order — so a bijective remap to dense ids
 // cannot change any eviction decision. Policies that sample the index
 // (random, lhd, hyperbolic, ...) or hash ids into sketches (wtinylfu) are
@@ -161,6 +197,18 @@ std::unique_ptr<EvictionPolicy> MakeDenseBase(const std::string& name,
   if (name == "s3fifo") {
     return std::make_unique<DenseS3FifoPolicy>(capacity, 0.10, 0.9, factory);
   }
+  if (name == "arc") {
+    return std::make_unique<DenseArcPolicy>(capacity, 1.0, -1.0, factory);
+  }
+  if (name == "arc-slow") {
+    return std::make_unique<DenseArcPolicy>(capacity, 0.25, -1.0, factory);
+  }
+  if (name == "arc-fixed") {
+    return std::make_unique<DenseArcPolicy>(capacity, 1.0, 0.1, factory);
+  }
+  if (name == "lirs") {
+    return std::make_unique<DenseLirsPolicy>(capacity, 0.01, 3.0, factory);
+  }
   return nullptr;
 }
 
@@ -170,63 +218,43 @@ std::unique_ptr<EvictionPolicy> MakeQdPolicy(const std::string& base_name,
                                              size_t total_capacity,
                                              const QdOptions& options,
                                              const std::vector<ObjectId>* trace) {
-  QDLP_CHECK(total_capacity >= 2);
-  QDLP_CHECK(options.probation_fraction > 0.0 && options.probation_fraction < 1.0);
   if (base_name == "belady") {
     // Belady consumes the trace positionally; behind a QD filter its
     // next-use bookkeeping would desynchronize from the request stream.
     return nullptr;
   }
-  const size_t probation =
-      QdProbationCapacity(total_capacity, options.probation_fraction);
-  const size_t main_capacity = total_capacity - probation;
-  auto main = MakeBase(base_name, main_capacity, trace);
-  if (main == nullptr) {
-    return nullptr;
-  }
-  return std::make_unique<QdCache>(probation, std::move(main), options);
+  return ComposeQd(total_capacity, options, FlatIndexFactory{},
+                   [&](size_t main_capacity) {
+                     return MakeBase(base_name, main_capacity, trace);
+                   });
 }
 
 bool HasDenseVariant(const std::string& name) {
-  static const char* const kDense[] = {
-      "fifo",   "lru",    "fifo-reinsertion", "clock",  "clock1",
-      "clock2", "clock3", "sieve",            "s3fifo", "qd-lp-fifo",
-  };
-  for (const char* dense_name : kDense) {
-    if (name == dense_name) {
-      return true;
-    }
-  }
-  return false;
+  // Universe 0 builds the dense variant without any per-id memory.
+  return MakeDensePolicy(name, 2, 0) != nullptr;
 }
 
 std::unique_ptr<EvictionPolicy> MakeDensePolicy(const std::string& name,
                                                 size_t capacity,
                                                 uint64_t universe) {
-  if (name == "qd-lp-fifo") {
-    QDLP_CHECK(capacity >= 2);
-    QdOptions options;
-    options.name = "qd-lp-fifo";
-    const size_t probation =
-        QdProbationCapacity(capacity, options.probation_fraction);
-    auto main = MakeDenseBase("clock2", capacity - probation, universe);
-    QDLP_DCHECK(main != nullptr);
-    return std::make_unique<DenseQdCache>(probation, std::move(main), options,
-                                          DenseIndexFactory{universe});
+  std::string base;
+  QdOptions options;
+  if (!ParseQdName(name, &base, &options)) {
+    return MakeDenseBase(name, capacity, universe);
   }
-  return MakeDenseBase(name, capacity, universe);
+  return ComposeQd(capacity, options, DenseIndexFactory{universe},
+                   [&](size_t main_capacity) {
+                     return MakeDenseBase(base, main_capacity, universe);
+                   });
 }
 
 std::unique_ptr<EvictionPolicy> MakePolicy(const std::string& name,
                                            size_t capacity,
                                            const std::vector<ObjectId>* trace) {
-  if (name == "qd-lp-fifo") {
-    QdOptions options;
-    options.name = "qd-lp-fifo";
-    return MakeQdPolicy("clock2", capacity, options, trace);
-  }
-  if (name.rfind("qd-", 0) == 0) {
-    return MakeQdPolicy(name.substr(3), capacity, QdOptions{}, trace);
+  std::string base;
+  QdOptions options;
+  if (ParseQdName(name, &base, &options)) {
+    return MakeQdPolicy(base, capacity, options, trace);
   }
   return MakeBase(name, capacity, trace);
 }

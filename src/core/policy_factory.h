@@ -12,6 +12,11 @@
 //
 // For QD-composed policies the capacity is the *total* budget: 10% goes to
 // the probationary FIFO and 90% to the main policy, as in the paper.
+//
+// Dense variants (MakeDensePolicy): fifo, lru, fifo-reinsertion (= clock,
+// clock1), clock2, clock3, sieve, s3fifo, arc, arc-slow, arc-fixed, lirs,
+// and qd-<base> for each of them (qd-lp-fifo is QD over clock2) — one
+// rule, no special case.
 
 #ifndef QDLP_SRC_CORE_POLICY_FACTORY_H_
 #define QDLP_SRC_CORE_POLICY_FACTORY_H_
@@ -40,7 +45,8 @@ std::unique_ptr<EvictionPolicy> MakeQdPolicy(
 // True if `name` has a dense-index variant (MakeDensePolicy accepts it) AND
 // its eviction decisions are invariant under a bijective id remap, so
 // feeding it dense ids yields bit-identical miss ratios. The batched sweep
-// engine uses this to pick the fast path per cell.
+// engine uses this to pick the fast path per cell. A qd-<base> name has one
+// exactly when <base> does.
 bool HasDenseVariant(const std::string& name);
 
 // Builds the dense-index variant of `name`: identical eviction logic, but

@@ -185,6 +185,14 @@ class BasicQdCache : public EvictionPolicy {
   struct ProbationEntry {
     uint32_t slot = 0;      // slot in probation_fifo_
     bool accessed = false;  // re-accessed while on probation
+
+    // A null slot marks an absent DenseIndex slot.
+    static ProbationEntry DenseAbsent() {
+      return {IntrusiveList<ObjectId>::kNullSlot, false};
+    }
+    bool IsDenseAbsent() const {
+      return slot == IntrusiveList<ObjectId>::kNullSlot;
+    }
   };
 
   // Pushes `id` into the probationary FIFO, making room first.

@@ -127,6 +127,14 @@ class BasicS3FifoPolicy : public EvictionPolicy {
     uint32_t slot = 0;  // slot in the FIFO matching `where`
     Where where = Where::kSmall;
     uint8_t freq = 0;
+
+    // A null slot marks an absent DenseIndex slot.
+    static Entry DenseAbsent() {
+      return {IntrusiveList<ObjectId>::kNullSlot, Where::kSmall, 0};
+    }
+    bool IsDenseAbsent() const {
+      return slot == IntrusiveList<ObjectId>::kNullSlot;
+    }
   };
 
   void InsertSmall(ObjectId id) {

@@ -11,8 +11,10 @@
 //     for each cell: cell.policy consumes the batch
 //
 // Cells fall into three lanes, chosen per policy:
-//  * dense index + dense ids — remap-invariant policy, universe small
-//    enough: direct-indexed slot arrays, u32 stream, prefetch pipeline.
+//  * dense index + dense ids — remap-invariant policy (HasDenseVariant:
+//    the FIFO/CLOCK/SIEVE/S3-FIFO family, LRU, ARC, LIRS and qd-<base>
+//    over any of them), universe small enough: direct-indexed slot arrays,
+//    u32 stream, prefetch pipeline.
 //  * flat index + dense ids — remap-invariant policy, universe above
 //    `max_dense_universe`: still reads the halved-width stream, skips the
 //    translation, keeps the prefetch pipeline over the hash index.
@@ -51,7 +53,7 @@ struct BatchReplayOptions {
   size_t batch_size = 1024;
   // A DenseIndex spends O(universe) slots per cell; above this many
   // distinct objects, remap-invariant policies fall back to the flat index
-  // (still fed dense ids). 2^26 slots is ~0.5 GiB/cell at 8-byte values.
+  // (still fed dense ids). 2^26 slots is 256 MiB/cell at 4-byte values.
   uint64_t max_dense_universe = uint64_t{1} << 26;
 };
 

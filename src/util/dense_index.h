@@ -3,10 +3,15 @@
 // When a trace has been remapped to dense u32 ids (src/trace/dense_trace),
 // the id space is exactly [0, num_objects), so the open-addressing probe of
 // FlatMap collapses to one array access: slot = slots_[id]. No hashing, no
-// probe chain, no tombstones — the whole index is a flat slot array of the
-// universe size, and membership is a presence flag in the slot itself (one
-// cache line touched per lookup, same as FlatMap's best case and strictly
-// better than its miss case).
+// probe chain, no tombstones — the whole index is a flat array of Values of
+// the universe size, one cache line touched per lookup (same as FlatMap's
+// best case and strictly better than its miss case).
+//
+// A slot is exactly sizeof(Value): there is no separate presence flag.
+// Each value type instead reserves one of its own values to mean "no
+// entry" (DenseAbsent below) — integers their maximum, the policies' entry
+// structs a null list slot. A u32 slot index therefore costs 4 bytes per
+// universe id, not 8.
 //
 // DenseIndex implements the subset of the FlatMap API the policies use
 // (Find/Emplace/Erase/Contains/Reserve/CheckInvariants/MemoryBytes/
@@ -19,8 +24,10 @@
 #ifndef QDLP_SRC_UTIL_DENSE_INDEX_H_
 #define QDLP_SRC_UTIL_DENSE_INDEX_H_
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -30,6 +37,23 @@
 
 namespace qdlp {
 
+// The reserved "no entry" value of a DenseIndex slot. Entry structs
+// declare it themselves, as `static Value DenseAbsent()` plus
+// `bool IsDenseAbsent() const`; integers reserve their maximum. Value{}
+// must never be the absent value (Emplace writes it), and a policy must
+// never store the absent value into a live entry.
+template <typename Value>
+struct DenseAbsent {
+  static Value Make() { return Value::DenseAbsent(); }
+  static bool Is(const Value& value) { return value.IsDenseAbsent(); }
+};
+
+template <std::integral Value>
+struct DenseAbsent<Value> {
+  static constexpr Value Make() { return std::numeric_limits<Value>::max(); }
+  static constexpr bool Is(Value value) { return value == Make(); }
+};
+
 template <typename Value>
 class DenseIndex {
  public:
@@ -38,7 +62,9 @@ class DenseIndex {
   // Keys must lie in [0, universe). A universe of 0 is a valid degenerate
   // index that holds nothing (every Find misses, Emplace is illegal).
   explicit DenseIndex(uint64_t universe)
-      : slots_(universe, Slot{Value{}, false}) {}
+      : slots_(universe, Absent::Make()) {
+    QDLP_CHECK(!Absent::Is(Value{}));
+  }
 
   // FlatMap-compatibility no-op: the slot array is always universe-sized.
   void Reserve(size_t n) { (void)n; }
@@ -47,55 +73,52 @@ class DenseIndex {
   bool empty() const { return size_ == 0; }
 
   bool Contains(Key key) const {
-    return key < slots_.size() && slots_[key].present;
+    return key < slots_.size() && !Absent::Is(slots_[key]);
   }
 
   // Pointer to the mapped value, or nullptr. Unlike FlatMap, pointers stay
   // valid across inserts (the slot array never reallocates).
   Value* Find(Key key) {
     QDLP_DCHECK(key < slots_.size());
-    Slot& slot = slots_[key];
-    return slot.present ? &slot.value : nullptr;
+    Value& slot = slots_[key];
+    return Absent::Is(slot) ? nullptr : &slot;
   }
   const Value* Find(Key key) const {
     QDLP_DCHECK(key < slots_.size());
-    const Slot& slot = slots_[key];
-    return slot.present ? &slot.value : nullptr;
+    const Value& slot = slots_[key];
+    return Absent::Is(slot) ? nullptr : &slot;
   }
 
   // Find-or-insert: returns the mapped value (default constructed when
   // absent) and whether it was inserted.
   std::pair<Value*, bool> Emplace(Key key) {
     QDLP_DCHECK(key < slots_.size());
-    Slot& slot = slots_[key];
-    if (slot.present) {
-      return {&slot.value, false};
+    Value& slot = slots_[key];
+    if (!Absent::Is(slot)) {
+      return {&slot, false};
     }
-    slot.value = Value{};
-    slot.present = true;
+    slot = Value{};
     ++size_;
-    return {&slot.value, true};
+    return {&slot, true};
   }
 
   Value& operator[](Key key) { return *Emplace(key).first; }
 
   bool Erase(Key key) {
     QDLP_DCHECK(key < slots_.size());
-    Slot& slot = slots_[key];
-    if (!slot.present) {
+    Value& slot = slots_[key];
+    if (Absent::Is(slot)) {
       return false;
     }
-    slot.present = false;
-    slot.value = Value{};
+    slot = Absent::Make();
     --size_;
     return true;
   }
 
   void Clear() {
     size_ = 0;
-    for (Slot& slot : slots_) {
-      slot.present = false;
-      slot.value = Value{};
+    for (Value& slot : slots_) {
+      slot = Absent::Make();
     }
   }
 
@@ -103,8 +126,8 @@ class DenseIndex {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (size_t key = 0; key < slots_.size(); ++key) {
-      if (slots_[key].present) {
-        fn(static_cast<Key>(key), slots_[key].value);
+      if (!Absent::Is(slots_[key])) {
+        fn(static_cast<Key>(key), slots_[key]);
       }
     }
   }
@@ -117,28 +140,25 @@ class DenseIndex {
     }
   }
 
-  // Present-flag accounting matches the size counter. O(universe).
+  // Non-absent slots match the size counter. O(universe).
   void CheckInvariants() const {
     size_t present = 0;
-    for (const Slot& slot : slots_) {
-      if (slot.present) {
+    for (const Value& slot : slots_) {
+      if (!Absent::Is(slot)) {
         ++present;
       }
     }
     QDLP_CHECK(present == size_);
   }
 
-  // Bytes held by the slot array (bench bytes/object accounting). This is
-  // universe-proportional — the price of probe-free lookups.
-  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
+  // Bytes held by the slot array (bench bytes/object accounting): exactly
+  // universe * sizeof(Value) — the price of probe-free lookups.
+  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Value); }
 
  private:
-  struct Slot {
-    Value value;
-    bool present;
-  };
+  using Absent = DenseAbsent<Value>;
 
-  std::vector<Slot> slots_;
+  std::vector<Value> slots_;
   size_t size_ = 0;
 };
 

@@ -120,7 +120,8 @@ TEST(BatchReplayTest, FlatIndexLaneMatchesDenseIndexLane) {
   std::vector<BatchCellSpec> cells;
   for (const char* policy :
        {"fifo", "lru", "fifo-reinsertion", "clock2", "clock3", "sieve",
-        "s3fifo", "qd-lp-fifo"}) {
+        "s3fifo", "qd-lp-fifo", "arc", "arc-slow", "arc-fixed", "lirs",
+        "qd-arc", "qd-lirs", "qd-s3fifo"}) {
     ASSERT_TRUE(HasDenseVariant(policy)) << policy;
     cells.push_back(BatchCellSpec{policy, 400 / kScale});
   }
@@ -172,7 +173,8 @@ TEST(BatchReplayTest, DensePolicyVariantsMatchFlatDirectly) {
   const DenseTrace dense = DensifyTrace(trace);
   const size_t cache_size = 150 / kScale;
   for (const char* name :
-       {"fifo", "lru", "clock2", "sieve", "s3fifo", "qd-lp-fifo"}) {
+       {"fifo", "lru", "clock2", "sieve", "s3fifo", "qd-lp-fifo", "arc",
+        "arc-slow", "arc-fixed", "lirs", "qd-arc", "qd-lirs"}) {
     auto dense_policy = MakeDensePolicy(name, cache_size, dense.num_objects());
     ASSERT_NE(dense_policy, nullptr) << name;
     auto flat_policy = MakePolicyOrDie(name, cache_size);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/util/dense_index.h"
@@ -99,6 +100,64 @@ TEST(DenseIndexTest, FactoryBuildsConfiguredUniverse) {
   index[99] = 1;
   EXPECT_TRUE(index.Contains(99));
   EXPECT_FALSE(index.Contains(100));  // outside the universe
+}
+
+// A slot is the value itself: absence is a reserved value of the type, so
+// the array costs exactly universe * sizeof(Value), with no presence flag.
+TEST(DenseIndexTest, SlotIsExactlyTheValue) {
+  constexpr uint64_t kUniverse = 1000;
+  EXPECT_EQ(DenseIndex<uint32_t>(kUniverse).MemoryBytes(),
+            kUniverse * sizeof(uint32_t));
+  EXPECT_EQ(DenseIndex<uint64_t>(kUniverse).MemoryBytes(),
+            kUniverse * sizeof(uint64_t));
+  EXPECT_EQ(DenseIndex<int>(kUniverse).MemoryBytes(), kUniverse * sizeof(int));
+}
+
+// An entry struct of the policies' shape: a null list slot marks absence.
+struct SlotEntry {
+  uint32_t slot = 0;
+  bool flag = false;
+
+  static SlotEntry DenseAbsent() { return {0xFFFFFFFFu, false}; }
+  bool IsDenseAbsent() const { return slot == 0xFFFFFFFFu; }
+};
+
+TEST(DenseIndexTest, DefaultValueIsNeverAbsent) {
+  EXPECT_FALSE(DenseAbsent<uint32_t>::Is(uint32_t{}));
+  EXPECT_FALSE(DenseAbsent<uint64_t>::Is(uint64_t{}));
+  EXPECT_FALSE(DenseAbsent<int>::Is(int{}));
+  EXPECT_FALSE(DenseAbsent<SlotEntry>::Is(SlotEntry{}));
+  EXPECT_TRUE(DenseAbsent<uint32_t>::Is(0xFFFFFFFFu));
+  EXPECT_TRUE(DenseAbsent<SlotEntry>::Is(SlotEntry::DenseAbsent()));
+}
+
+template <typename Value>
+void ExpectAbsentRoundTrip(const Value& written) {
+  constexpr uint64_t kUniverse = 64;
+  DenseIndex<Value> index(kUniverse);
+  EXPECT_EQ(index.MemoryBytes(), kUniverse * sizeof(Value));
+  EXPECT_FALSE(index.Contains(5));
+  auto [value, inserted] = index.Emplace(5);
+  ASSERT_TRUE(inserted);
+  EXPECT_TRUE(index.Contains(5));  // Value{} reads as present
+  *value = written;
+  ASSERT_NE(index.Find(5), nullptr);
+  EXPECT_EQ(std::memcmp(index.Find(5), &written, sizeof(Value)), 0);
+  EXPECT_EQ(index.size(), 1u);
+  index.CheckInvariants();
+  EXPECT_TRUE(index.Erase(5));
+  EXPECT_FALSE(index.Contains(5));
+  EXPECT_EQ(index.Find(5), nullptr);
+  EXPECT_EQ(index.size(), 0u);
+  index.CheckInvariants();
+}
+
+TEST(DenseIndexTest, AbsentEmplaceWriteEraseRoundTrip) {
+  ExpectAbsentRoundTrip<uint32_t>(0xFFFFFFFEu);  // largest storable u32
+  ExpectAbsentRoundTrip<uint32_t>(0);
+  ExpectAbsentRoundTrip<uint64_t>(~uint64_t{0} - 1);
+  ExpectAbsentRoundTrip(SlotEntry{7, true});
+  ExpectAbsentRoundTrip(SlotEntry{0xFFFFFFFEu, false});
 }
 
 // Randomized differential against FlatMap: any op sequence over a dense key

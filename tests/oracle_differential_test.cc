@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -22,10 +24,14 @@
 #include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/core/policy_factory.h"
+#include "src/core/qd_cache.h"
+#include "src/trace/dense_trace.h"
 #include "src/trace/generators.h"
 #include "src/util/random.h"
 #include "src/util/zipf.h"
 #include "tests/oracle/differential_runner.h"
+#include "tests/oracle/list_arc.h"
+#include "tests/oracle/list_lirs.h"
 #include "tests/oracle/reference_models.h"
 
 namespace qdlp {
@@ -270,6 +276,117 @@ INSTANTIATE_TEST_SUITE_P(
       return "size" + std::to_string(std::get<0>(info.param)) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Exact lockstep for ARC and LIRS: the slab-list policies, on the flat and
+// the dense index, against the std::list implementations they replaced
+// (tests/oracle/list_arc.h, list_lirs.h), with the QD compositions wrapped
+// around the list reference main. Hit/miss must agree on every request, and
+// so must every flow counter and the occupancy split. Every size here gives
+// LIRS (or QD-LIRS's main) at least 2 blocks, where the list reference
+// runs; at capacity 1 it aborts.
+
+// The list reference for `name`, with the factory's QD split.
+std::unique_ptr<EvictionPolicy> MakeListReference(const std::string& name,
+                                                  size_t capacity) {
+  if (name.rfind("qd-", 0) == 0) {
+    const size_t probation = std::min(
+        std::max<size_t>(1, static_cast<size_t>(std::llround(
+                                static_cast<double>(capacity) * 0.10))),
+        capacity - 1);
+    return std::make_unique<QdCache>(
+        probation, MakeListReference(name.substr(3), capacity - probation));
+  }
+  if (name == "arc") {
+    return std::make_unique<oracle::ListArcPolicy>(capacity);
+  }
+  if (name == "arc-slow") {
+    return std::make_unique<oracle::ListArcPolicy>(capacity, 0.25);
+  }
+  if (name == "arc-fixed") {
+    return std::make_unique<oracle::ListArcPolicy>(capacity, 1.0, 0.1);
+  }
+  if (name == "lirs") {
+    return std::make_unique<oracle::ListLirsPolicy>(capacity);
+  }
+  return nullptr;
+}
+
+void ExpectSameCounters(const CacheStats& subject, const CacheStats& reference,
+                        uint64_t request) {
+  EXPECT_EQ(subject.inserts, reference.inserts) << "request " << request;
+  EXPECT_EQ(subject.evictions, reference.evictions) << "request " << request;
+  EXPECT_EQ(subject.promotions, reference.promotions) << "request " << request;
+  EXPECT_EQ(subject.demotions, reference.demotions) << "request " << request;
+  EXPECT_EQ(subject.ghost_hits, reference.ghost_hits) << "request " << request;
+  EXPECT_EQ(subject.size, reference.size) << "request " << request;
+  EXPECT_EQ(subject.probation_size, reference.probation_size)
+      << "request " << request;
+  EXPECT_EQ(subject.main_size, reference.main_size) << "request " << request;
+  EXPECT_EQ(subject.ghost_size, reference.ghost_size) << "request " << request;
+}
+
+using ListCase = std::tuple<std::string, bool, std::string, size_t>;
+
+std::string ListCaseName(const ::testing::TestParamInfo<ListCase>& info) {
+  const auto& [subject, dense, shape, cache_size] = info.param;
+  std::string name = subject + (dense ? "_dense_" : "_flat_") + shape + "_c" +
+                     std::to_string(cache_size);
+  for (char& c : name) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return name;
+}
+
+class ListOracleDifferentialTest : public ::testing::TestWithParam<ListCase> {
+};
+
+TEST_P(ListOracleDifferentialTest, MatchesListReference) {
+  const auto& [policy_name, dense, shape, cache_size] = GetParam();
+  Trace trace;
+  trace.requests = BuildTrace(shape, SeedFor(shape, cache_size));
+  ASSERT_FALSE(trace.requests.empty());
+  const DenseTrace dense_trace = DensifyTrace(trace);
+
+  const auto policy =
+      dense ? MakeDensePolicy(policy_name, cache_size,
+                              dense_trace.num_objects())
+            : MakePolicy(policy_name, cache_size);
+  ASSERT_NE(policy, nullptr) << policy_name;
+  const auto reference = MakeListReference(policy_name, cache_size);
+  ASSERT_NE(reference, nullptr) << policy_name;
+  EXPECT_EQ(policy->name(), reference->name());
+  EXPECT_EQ(policy->capacity(), reference->capacity());
+
+  for (size_t i = 0; i < trace.requests.size(); ++i) {
+    const ObjectId id = dense ? dense_trace.requests[i] : trace.requests[i];
+    ASSERT_EQ(policy->Access(id), reference->Access(trace.requests[i]))
+        << policy_name << " request " << i;
+    if (i % 64 == 0) {
+      ExpectSameCounters(policy->Stats(), reference->Stats(), i);
+      if (HasFailure()) {
+        return;
+      }
+    }
+    if (i % 997 == 0) {
+      policy->CheckInvariants();
+    }
+  }
+  ExpectSameCounters(policy->Stats(), reference->Stats(),
+                     trace.requests.size());
+  EXPECT_EQ(policy->Stats().hits, reference->Stats().hits);
+  policy->CheckInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AdaptiveZoo, ListOracleDifferentialTest,
+    ::testing::Combine(::testing::Values("arc", "arc-slow", "arc-fixed",
+                                         "lirs", "qd-arc", "qd-lirs"),
+                       ::testing::Bool(), ::testing::ValuesIn(kShapes),
+                       ::testing::ValuesIn(kCacheSizes)),
+    ListCaseName);
 
 // ---------------------------------------------------------------------------
 // Bounded divergence: adaptive policies legitimately differ from any naive

@@ -5,11 +5,13 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/policy_factory.h"
 #include "src/sim/simulator.h"
 #include "src/trace/generators.h"
 #include "src/trace/trace.h"
+#include "src/util/random.h"
 
 namespace qdlp {
 namespace {
@@ -146,6 +148,55 @@ INSTANTIATE_TEST_SUITE_P(
           std::get<0>(info.param) + "_" + std::to_string(std::get<1>(info.param)) +
           (std::get<2>(info.param) == PropertyWorkload::kBlockScan ? "_block"
                                                                    : "_web");
+      for (char& c : name) {
+        if (c == '-') {
+          c = '_';
+        }
+      }
+      return name;
+    });
+
+// Every capacity the factory accepts must run: 1 and up for a base policy,
+// 2 and up for a QD composition (whose main then holds just 1 or 2). A
+// small key space keeps every policy at capacity, cycling through its
+// eviction, ghost and adaptation paths, with the structural and telemetry
+// invariants checked after every request.
+class TinyCapacityTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TinyCapacityTest, RunsUnderInvariantsAtCapacitiesOneToThree) {
+  const std::string& name = GetParam();
+  Trace trace;
+  trace.requests = {1, 1, 2, 2, 3};
+  Rng rng(307);
+  for (int i = 0; i < 3000; ++i) {
+    trace.requests.push_back(rng.NextBounded(i % 1000 < 500 ? 4 : 12));
+  }
+  const size_t min_capacity = name.rfind("qd-", 0) == 0 ? 2 : 1;
+  for (size_t capacity = min_capacity; capacity <= 3; ++capacity) {
+    auto policy = MakePolicy(name, capacity);
+    ASSERT_NE(policy, nullptr) << name << " @ " << capacity;
+    for (const ObjectId id : trace.requests) {
+      policy->Access(id);
+      policy->CheckInvariants();
+      ASSERT_LE(policy->size(), capacity) << name;
+    }
+  }
+}
+
+std::vector<std::string> PoliciesWithoutBelady() {
+  std::vector<std::string> names;
+  for (const std::string& name : KnownPolicyNames()) {
+    if (name != "belady") {
+      names.push_back(name);
+    }
+  }
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, TinyCapacityTest, ::testing::ValuesIn(PoliciesWithoutBelady()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
       for (char& c : name) {
         if (c == '-') {
           c = '_';

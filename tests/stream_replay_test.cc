@@ -71,11 +71,13 @@ class VectorTraceSource : public TraceSource {
   size_t pos_ = 0;
 };
 
-// Every policy the sweep grids use, spanning all three replay lanes:
-// dense-capable, sampling (original-id), and adaptive.
+// Every policy the sweep grids use, spanning the replay lanes: dense-capable
+// (the adaptive ARC and LIRS and their QD forms among them) and sampling
+// (original-id).
 const char* kPolicies[] = {"fifo",   "lru",        "clock",     "sieve",
                            "s3fifo", "qd-lp-fifo", "random",    "lru-2rand",
-                           "arc",    "lirs",       "tinylfu-wc"};
+                           "arc",    "arc-slow",   "arc-fixed", "lirs",
+                           "qd-arc", "qd-lirs",    "tinylfu-wc"};
 
 class StreamChunkTest : public ::testing::TestWithParam<size_t> {};
 

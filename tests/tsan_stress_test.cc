@@ -375,6 +375,9 @@ TEST(TsanStressTest, PrefetchThenAppendReadStorm) {
       EXPECT_LE(stats.hits, stats.requests);
     }
   });
+  // Readers start once a SET has landed: a reader that ran its whole loop
+  // before any writer was scheduled would see only misses.
+  std::atomic<bool> first_set_done{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
@@ -386,12 +389,16 @@ TEST(TsanStressTest, PrefetchThenAppendReadStorm) {
           face.Delete(key);
         } else {
           face.Set(key, value_for(key, ++version), /*ttl_seconds=*/0);
+          first_set_done.store(true, std::memory_order_release);
         }
       }
     });
   }
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
+      while (!first_set_done.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       Rng rng(0xbead0u + static_cast<uint64_t>(t));
       const std::string prefix = "header-bytes";
       std::string out;
