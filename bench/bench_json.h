@@ -99,6 +99,7 @@ inline const std::vector<BenchStatsField>& BenchStatsFields() {
       {"probation_size", &CacheStats::probation_size},
       {"main_size", &CacheStats::main_size},
       {"ghost_size", &CacheStats::ghost_size},
+      {"lock_waits", &CacheStats::lock_waits},
   };
   return fields;
 }

@@ -87,9 +87,11 @@ class ConcurrentCache : public Cache {
   // CacheObservable reminders (see src/obs/cache_observable.h):
   //  * Stats() must be safe to call concurrently with Get() — sum striped
   //    atomics, take only cold locks for occupancy fields.
-  //  * CheckInvariants() takes the cache's locks, so it is safe to call
-  //    concurrently with Get(), but it is O(size) and intended for tests —
-  //    call it at quiescent points (e.g. after joining worker threads).
+  //  * CheckInvariants() takes the cache's locks, but it is O(size) and
+  //    intended for tests — call it at quiescent points (e.g. after
+  //    joining worker threads): the lock-free caches also check that their
+  //    drain left no buffered miss behind, which a Get still in flight
+  //    could contradict.
 };
 
 }  // namespace qdlp

@@ -51,7 +51,7 @@ void ClockRegions::CheckShard(size_t s) const {
   QDLP_CHECK(occupied == state.count);
 }
 
-void ClockRegions::Insert(size_t s, ObjectId id, uint32_t from_cell) {
+uint32_t ClockRegions::Insert(size_t s, ObjectId id, uint32_t from_cell) {
   ShardState& state = shards_[s];
   const size_t slot_index = state.used < state.capacity
                                 ? state.base + state.used++
@@ -63,6 +63,7 @@ void ClockRegions::Insert(size_t s, ObjectId id, uint32_t from_cell) {
   ++state.count;
   const uint32_t loc = static_cast<uint32_t>(slot_index);
   core_.Place(id, loc, CellOf(loc), from_cell);
+  return loc;
 }
 
 size_t ClockRegions::EvictOne(size_t s) {

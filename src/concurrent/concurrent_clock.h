@@ -52,10 +52,12 @@ class ClockRegions {
       counter.store(current + 1, std::memory_order_relaxed);
     }
   }
-  void Admit(size_t s, ObjectId id) { Insert(s, id, DomainCore::kNoCell); }
+  uint32_t Admit(size_t s, ObjectId id) {
+    return Insert(s, id, DomainCore::kNoCell);
+  }
   // Places `id` in shard s's region, evicting if it is full; `from_cell`
-  // as for DomainCore::Place.
-  void Insert(size_t s, ObjectId id, uint32_t from_cell);
+  // as for DomainCore::Place. Returns the slot it placed `id` in.
+  uint32_t Insert(size_t s, ObjectId id, uint32_t from_cell);
   // Advances the shard's hand to the next victim and evicts it; returns
   // the freed (or never-reoccupied) global slot.
   size_t EvictOne(size_t s);

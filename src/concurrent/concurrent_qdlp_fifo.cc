@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "src/util/check.h"
 
@@ -35,8 +34,7 @@ QdlpRegions::QdlpRegions(DomainCore& core)
     state.fifo.Reserve(state.probation_capacity);
     probation_capacity_ += state.probation_capacity;
     // Ghost as large as the shard's main region (factor 1.0).
-    core.ghosts.push_back(
-        std::make_unique<ShardedGhost>(share - state.probation_capacity));
+    core.ghosts.emplace_back(share - state.probation_capacity);
   }
   accessed_ = std::vector<std::atomic<uint8_t>>(probation_capacity_);
 }
@@ -79,12 +77,11 @@ void QdlpRegions::Touch(uint32_t loc) {
   accessed_[loc & ~kProbationBit].store(1, std::memory_order_relaxed);
 }
 
-void QdlpRegions::Admit(size_t s, ObjectId id) {
-  if (core_.ghosts[s]->Consume(id)) {
+uint32_t QdlpRegions::Admit(size_t s, ObjectId id) {
+  if (core_.ghosts[s].Consume(id)) {
     // Quick-demoted once already: admit straight into the main cache.
     core_.counters.Add(ConcurrentStatsCounters::kGhostHits);
-    main_.Insert(s, id, DomainCore::kNoCell);
-    return;
+    return main_.Insert(s, id, DomainCore::kNoCell);
   }
   // Push into probation, quick-demoting / lazily promoting the oldest
   // entries as needed to make room.
@@ -95,6 +92,7 @@ void QdlpRegions::Admit(size_t s, ObjectId id) {
   const uint32_t loc = ProbationLoc(s, state.fifo.PushBack(id));
   accessed_[loc & ~kProbationBit].store(0, std::memory_order_relaxed);
   core_.Place(id, loc, CellOf(loc));
+  return loc;
 }
 
 void QdlpRegions::EvictOne(size_t s) {
@@ -125,7 +123,7 @@ void QdlpRegions::EvictFromProbation(size_t s) {
   } else {
     // Quick demotion: one lap through the small FIFO was its only chance.
     core_.Evict(s, victim, cell);
-    core_.ghosts[s]->Insert(victim);
+    core_.ghosts[s].Insert(victim);
     core_.counters.Add(ConcurrentStatsCounters::kDemotions);
   }
 }

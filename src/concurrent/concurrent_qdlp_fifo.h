@@ -11,7 +11,9 @@
 //                unlinks in O(1); a hit sets one per-entry accessed bit
 //   main       — per shard, a 2-bit CLOCK ring over the share's remainder
 //   ghost      — per shard, metadata-only memory of quick-demoted ids, as
-//                large as the shard's main region (sharded_ghost.h)
+//                large as the shard's main region: the sequential
+//                QdCache's GhostQueue (src/core/ghost_queue.h), guarded
+//                by the shard's mutex like the rest of the miss path
 //
 // The main ring is concurrent CLOCK's ring (ClockRegions, 2-bit
 // counters). A location is a GLOBAL main slot or a tagged probation
@@ -53,7 +55,7 @@ class QdlpRegions {
   explicit QdlpRegions(DomainCore& core);
 
   void Touch(uint32_t loc);
-  void Admit(size_t s, ObjectId id);
+  uint32_t Admit(size_t s, ObjectId id);
   // Probation first (quick demotion or lazy promotion), then the main
   // CLOCK hand.
   void EvictOne(size_t s);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "src/util/check.h"
 
@@ -23,8 +22,7 @@ S3FifoRegions::S3FifoRegions(DomainCore& core, double small_fraction,
   for (size_t s = 0; s < shards_.size(); ++s) {
     const size_t share = core.domains.shard(s).capacity;
     shards_[s].small_capacity = std::min(scaled(share, small_fraction), share);
-    core.ghosts.push_back(
-        std::make_unique<ShardedGhost>(scaled(share, ghost_factor)));
+    core.ghosts.emplace_back(scaled(share, ghost_factor));
   }
 }
 
@@ -120,7 +118,7 @@ void S3FifoRegions::EvictSmall(size_t s) {
     return;
   }
   core_.Evict(s, node.id, slot);
-  core_.ghosts[s]->Insert(node.id);
+  core_.ghosts[s].Insert(node.id);
   FreeSlot(s, slot);
   core_.counters.Add(ConcurrentStatsCounters::kDemotions);
 }
@@ -154,7 +152,7 @@ void S3FifoRegions::EvictOne(size_t s) {
   }
 }
 
-void S3FifoRegions::Admit(size_t s, ObjectId id) {
+uint32_t S3FifoRegions::Admit(size_t s, ObjectId id) {
   const EvictionDomain& domain = core_.domains.shard(s);
   ShardState& state = shards_[s];
   // The shard overflows its capacity share, never the global capacity:
@@ -173,7 +171,7 @@ void S3FifoRegions::Admit(size_t s, ObjectId id) {
   Node& node = slab_[slot];
   node.id = id;
   node.freq.store(0, std::memory_order_relaxed);
-  if (core_.ghosts[s]->Consume(id)) {
+  if (core_.ghosts[s].Consume(id)) {
     node.where = Where::kMain;
     PushBack(state.main_fifo, slot);
     core_.counters.Add(ConcurrentStatsCounters::kGhostHits);
@@ -182,6 +180,7 @@ void S3FifoRegions::Admit(size_t s, ObjectId id) {
     PushBack(state.small_fifo, slot);
   }
   core_.Place(id, slot, slot);
+  return slot;
 }
 
 template class DomainCache<S3FifoRegions>;

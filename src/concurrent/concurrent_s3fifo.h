@@ -7,7 +7,8 @@
 // one probe of the striped atomic index plus one relaxed RMW. All queue
 // surgery (admission, small->main promotion, ghost bookkeeping) happens
 // on the miss path, where each eviction domain owns a slab region, its
-// own small/main FIFOs and its ghost.
+// own small/main FIFOs and its ghost — S3FifoPolicy's GhostQueue
+// (src/core/ghost_queue.h), guarded by the domain's mutex.
 //
 // Storage is one fixed slab of nodes (no per-object allocation),
 // partitioned by shard: the FIFOs are intrusive doubly linked lists
@@ -50,7 +51,7 @@ class S3FifoRegions {
       freq.store(current + 1, std::memory_order_relaxed);
     }
   }
-  void Admit(size_t s, ObjectId id);
+  uint32_t Admit(size_t s, ObjectId id);
   void EvictOne(size_t s);
   // O(1): the slot unlinks from its FIFO and returns to the freelist.
   void Unlink(size_t s, uint32_t loc);

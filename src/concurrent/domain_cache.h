@@ -17,7 +17,15 @@
 //     one helping pass over backlogged foreign domains; on try-lock
 //     failure it buffers the id (or drops it if the buffers are full) and
 //     returns without blocking. Admit/Remove/SetValue take the home lock
-//     blocking and drain it first;
+//     blocking (counting a lock_wait when a try_lock finds it held) and
+//     drain it first;
+//   * the drain's claim on a domain's `pending` count: a buffering Get
+//     bumps it (release) only after its TryPush succeeded, and a drain
+//     first claims the whole count with exchange(0, acquire), returning
+//     at once when it was 0. Every buffered id is then covered by an
+//     increment some later drain consumes, so none is stranded, and a
+//     domain nobody buffered into — qdlpd's value path, whose GETs never
+//     admit — is never scanned;
 //   * the striped counters, Stats(), the metadata
 //     footprint and the shared half of CheckInvariants;
 //   * the optional SlabStore value path (GetValue/SetValue, the Cache
@@ -32,7 +40,7 @@
 //                        Runs concurrently with everything below.
 //   Admit(s, id)         under shard s's lock, id not resident: evict as
 //                        needed, then DomainCore::Place the id
-//                        (ghost hits included)
+//                        (ghost hits included); returns its location
 //   EvictOne(s)          one eviction step (may only promote or advance a
 //                        hand); repeated calls eventually lower Resident(s)
 //   Unlink(s, loc)       drop a Remove()d object's region slot; the index
@@ -64,8 +72,8 @@
 
 #include "src/concurrent/concurrent_cache.h"
 #include "src/concurrent/eviction_domains.h"
-#include "src/concurrent/sharded_ghost.h"
 #include "src/concurrent/striped_index.h"
+#include "src/core/ghost_queue.h"
 #include "src/obs/concurrent_counters.h"
 #include "src/store/slab_store.h"
 #include "src/util/check.h"
@@ -146,8 +154,9 @@ struct DomainCore {
   StripedAtomicIndex index;  // id -> Regions location; size() = residents
   EvictionDomains domains;
   ConcurrentStatsCounters counters;
-  // Per-shard ghosts of the engines that keep one (empty otherwise).
-  std::vector<std::unique_ptr<ShardedGhost>> ghosts;
+  // Per-shard ghosts of the engines that keep one (empty otherwise): the
+  // sequential engines' GhostQueue, guarded by its domain's mutex.
+  std::vector<GhostQueue> ghosts;
   // Value store: one cell per location, one arena per eviction domain so
   // eviction frees value bytes under the mutex it already holds. Null when
   // metadata-only.
@@ -248,9 +257,25 @@ class DomainCache : public ConcurrentCache {
     return static_cast<uint64_t>(time(nullptr));
   }
 
+  // The blocking paths' home-domain lock: a try_lock first, and a counted
+  // lock_wait before blocking when another thread holds it.
+  std::unique_lock<std::mutex> LockHome(size_t s) {
+    std::mutex& mu = core_.domains.shard(s).mu;
+    if (!mu.try_lock()) {
+      core_.counters.Add(Counters::kLockWaits);
+      mu.lock();
+    }
+    return std::unique_lock<std::mutex>(mu, std::adopt_lock);
+  }
   // Admits `id` into shard s unless already resident; returns true on a
   // (raced) hit. Under the shard's mutex.
   bool InsertLocked(size_t s, ObjectId id);
+  // Admits the non-resident `id` into shard s and counts the insert;
+  // returns its location. Under the shard's mutex.
+  uint32_t AdmitLocked(size_t s, ObjectId id) {
+    core_.counters.Add(Counters::kInserts);
+    return regions_.Admit(s, id);
+  }
   // Counts the acquisition just made and drains the shard's buffers: the
   // prologue of every operation holding a shard lock for itself.
   void SettleLocked(size_t s);
@@ -306,7 +331,9 @@ bool DomainCache<Regions>::Get(ObjectId id) {
   core_.counters.Add(Counters::kLockFailures);
   core_.counters.Add(Counters::kMisses);
   if (domain.buffers.TryPush(id)) {
-    domain.pending.fetch_add(1, std::memory_order_relaxed);
+    // After the push, so the drain that claims this increment sees the id
+    // (DrainShardLocked).
+    domain.pending.fetch_add(1, std::memory_order_release);
     return false;
   }
   // Buffers full while the lock is held elsewhere — on an oversubscribed
@@ -327,7 +354,7 @@ bool DomainCache<Regions>::Admit(ObjectId id) {
     return true;
   }
   const size_t s = core_.domains.ShardOf(id);
-  std::lock_guard<std::mutex> lock(core_.domains.shard(s).mu);
+  const std::unique_lock<std::mutex> lock = LockHome(s);
   return MissLocked(s, id);
 }
 
@@ -339,7 +366,7 @@ bool DomainCache<Regions>::Remove(ObjectId id) {
   // buffers first keeps a just-buffered admission of this very id from
   // resurrecting it right after we return.
   const size_t s = core_.domains.ShardOf(id);
-  std::lock_guard<std::mutex> lock(core_.domains.shard(s).mu);
+  const std::unique_lock<std::mutex> lock = LockHome(s);
   SettleLocked(s);
   uint32_t loc;
   if (!core_.index.Find(id, &loc)) {
@@ -461,7 +488,7 @@ typename DomainCache<Regions>::SetResult DomainCache<Regions>::SetValue(
     return SetResult::kTooLarge;
   }
   const size_t s = core_.domains.ShardOf(id);
-  std::lock_guard<std::mutex> lock(core_.domains.shard(s).mu);
+  const std::unique_lock<std::mutex> lock = LockHome(s);
   SettleLocked(s);
   // Allocate before touching residency: arena-pressure evictions free
   // other objects' chunks, never this uncommitted one — but they may evict
@@ -478,14 +505,14 @@ typename DomainCache<Regions>::SetResult DomainCache<Regions>::SetValue(
       regions_.EvictOne(s);
     }
   }
+  // Under the home lock, with the buffers settled, the index is exact for
+  // this id: one probe decides, and admission reports where it placed it.
   uint32_t loc;
   if (!core_.index.Find(id, &loc)) {
     // Admission follows the normal miss rules (ghost resurrection included)
     // and counts as an insert — never as a serving miss: the GET that
     // preceded this SET already counted it.
-    InsertLocked(s, id);
-    const bool resident = core_.index.Find(id, &loc);
-    QDLP_CHECK(resident);
+    loc = AdmitLocked(s, id);
   }
   store.WriteChunk(chunk, value.data(), value.size());
   store.FreeChunk(store.Commit(regions_.CellOf(loc), id, chunk, expiry_s));
@@ -497,8 +524,7 @@ bool DomainCache<Regions>::InsertLocked(size_t s, ObjectId id) {
   if (core_.index.Contains(id)) {
     return true;  // another thread (or an earlier buffered copy) admitted it
   }
-  regions_.Admit(s, id);
-  core_.counters.Add(Counters::kInserts);
+  AdmitLocked(s, id);
   return false;
 }
 
@@ -519,13 +545,16 @@ bool DomainCache<Regions>::MissLocked(size_t s, ObjectId id) {
 template <typename Regions>
 void DomainCache<Regions>::DrainShardLocked(size_t s, bool helping) {
   EvictionDomain& domain = core_.domains.shard(s);
+  // Claim before popping: an id pushed after this exchange brings its own
+  // increment for a later drain, and one whose increment this claims was
+  // published before it (release/acquire), so it is popped below.
+  if (domain.pending.exchange(0, std::memory_order_acquire) == 0) {
+    return;
+  }
   domain.helper_drain = helping;
   const size_t drained =
       domain.buffers.Drain([&](uint64_t id) { InsertLocked(s, id); });
   domain.helper_drain = false;
-  // Reset, not subtract: a push racing this store is under-counted, which
-  // only delays the next best-effort helping pass.
-  domain.pending.store(0, std::memory_order_relaxed);
   core_.counters.AddDrainBatch(drained);
 }
 
@@ -565,7 +594,7 @@ CacheStats DomainCache<Regions>::Stats() const {
     stats.size += regions_.Resident(s);
     regions_.AddOccupancy(s, &stats);
     if (!core_.ghosts.empty()) {
-      stats.ghost_size += core_.ghosts[s]->live_size();
+      stats.ghost_size += core_.ghosts[s].size();
     }
   }
   return stats;
@@ -577,8 +606,12 @@ void DomainCache<Regions>::CheckInvariants() {
   // checks. Blocking is safe: the miss path only ever try-locks.
   const size_t shards = core_.domains.num_shards();
   for (size_t s = 0; s < shards; ++s) {
-    core_.domains.shard(s).mu.lock();
+    EvictionDomain& domain = core_.domains.shard(s);
+    domain.mu.lock();
     DrainShardLocked(s, /*helping=*/false);
+    // Quiescent, every buffered id's increment has landed, so the drain
+    // left nothing behind: a stranded admission would sit here forever.
+    QDLP_CHECK(domain.buffers.empty());
   }
   size_t total = 0;
   for (size_t s = 0; s < shards; ++s) {
@@ -591,11 +624,10 @@ void DomainCache<Regions>::CheckInvariants() {
   QDLP_CHECK(core_.index.size() == total);
   core_.index.CheckInvariants();
   // Ghost entries are evicted history; none may still be resident.
-  for (const auto& ghost : core_.ghosts) {
-    ghost->ForEachLive(
+  for (const GhostQueue& ghost : core_.ghosts) {
+    ghost.ForEachLive(
         [&](ObjectId id) { QDLP_CHECK(!core_.index.Contains(id)); });
-    QDLP_CHECK(ghost->live_size() <= ghost->capacity());
-    ghost->CheckInvariants();
+    ghost.CheckInvariants();
   }
   if (core_.store) {
     // Every resident id owns its paired value cell (stamped at admission,
@@ -617,8 +649,10 @@ template <typename Regions>
 size_t DomainCache<Regions>::ApproxMetadataBytes() const {
   size_t bytes = core_.index.MemoryBytes() + core_.domains.MemoryBytes() +
                  core_.counters.MemoryBytes() + regions_.MemoryBytes();
-  for (const auto& ghost : core_.ghosts) {
-    bytes += ghost->ApproxMetadataBytes();
+  // The ghosts grow under their domains' mutexes; read each under its own.
+  for (size_t s = 0; s < core_.ghosts.size(); ++s) {
+    std::lock_guard<std::mutex> lock(core_.domains.shard(s).mu);
+    bytes += core_.ghosts[s].ApproxMetadataBytes();
   }
   if (core_.store) {
     bytes += core_.store->ApproxMetadataBytes();

@@ -27,9 +27,12 @@
 // Drain protocol (implemented once, in DomainCache; supported here):
 //   * A missing thread try-locks its id's home domain; on success it
 //     drains that domain's buffers and admits inline.
-//   * On failure it buffers the id in the home domain's rings (bumping
-//     `pending`) and returns — Get() never blocks. A full ring drops the
+//   * On failure it buffers the id in the home domain's rings, then bumps
+//     `pending`, and returns — Get() never blocks. A full ring drops the
 //     admission (counted as a buffer_drop).
+//   * A drain claims `pending` (exchange to 0) before popping and skips
+//     the rings when it claimed nothing, so every buffered id is popped
+//     by the drain that claims its increment, or an earlier one.
 //   * After a successful inline miss, the thread makes one
 //     thread-ordinal-affine helping pass: starting from its own ordinal's
 //     shard, it try-locks any other domain whose `pending` exceeds
@@ -71,9 +74,9 @@ struct EvictionDomain {
   // This shard's capacity share and the first slot of its slab region.
   size_t capacity = 0;
   size_t base = 0;
-  // Buffered misses awaiting the next drain. Approximate: pushes bump it,
-  // drains reset it to zero, and a push racing a drain can be zeroed early
-  // — it only steers the best-effort helping pass.
+  // Buffered misses not yet claimed by a drain: a push bumps it after the
+  // id is in the rings, a drain claims it all (exchange to 0) before
+  // popping. It gates the drain itself and steers the helping pass.
   std::atomic<size_t> pending{0};
   InsertBuffers buffers;
 

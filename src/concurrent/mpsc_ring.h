@@ -88,6 +88,11 @@ class MpscRing {
     return true;
   }
 
+  // Nothing claimed is left unpopped. Consumer side; exact at quiescence.
+  bool empty() const {
+    return tail_.load(std::memory_order_acquire) == head_;
+  }
+
   size_t slot_count() const { return mask_ + 1; }
   size_t MemoryBytes() const { return slot_count() * sizeof(Cell); }
 
@@ -137,6 +142,16 @@ class InsertBuffers {
       }
     }
     return drained;
+  }
+
+  // Every ring is empty (MpscRing::empty). Consumer side.
+  bool empty() const {
+    for (const auto& ring : rings_) {
+      if (!ring->empty()) {
+        return false;
+      }
+    }
+    return true;
   }
 
   size_t MemoryBytes() const {

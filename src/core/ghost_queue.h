@@ -11,6 +11,13 @@
 // there are no stale records to skip while trimming. The index backing is a
 // template parameter so the dense-id policy variants (batched sweep engine)
 // carry a direct-indexed ghost as well.
+//
+// It is the one ghost of every QD engine: the sequential QdCache and
+// S3FifoPolicy, and the concurrent QD-LP-FIFO and S3-FIFO, whose eviction
+// domains each own one and touch it only under the domain's mutex — the
+// queue itself takes no lock. Its compiled instantiations live in the
+// qdlp_concurrent library (src/concurrent/CMakeLists.txt), which both
+// sides link.
 
 #ifndef QDLP_SRC_CORE_GHOST_QUEUE_H_
 #define QDLP_SRC_CORE_GHOST_QUEUE_H_

@@ -37,6 +37,8 @@ struct CacheStats {
   // single-threaded identities they obey.
   uint64_t lock_acquisitions = 0;  // eviction-domain mutexes acquired
   uint64_t lock_failures = 0;      // failed try_locks (miss was buffered)
+  uint64_t lock_waits = 0;         // blocking acquisitions (Admit, Remove,
+                                   //   SetValue) that found the lock held
   uint64_t buffer_drops = 0;       // ring-full drops: admissions abandoned
   uint64_t cross_shard_demotions = 0;  // evictions done by a helping
                                        //   thread draining a foreign shard
@@ -67,6 +69,7 @@ struct CacheStats {
     delta.ghost_hits -= before.ghost_hits;
     delta.lock_acquisitions -= before.lock_acquisitions;
     delta.lock_failures -= before.lock_failures;
+    delta.lock_waits -= before.lock_waits;
     delta.buffer_drops -= before.buffer_drops;
     delta.cross_shard_demotions -= before.cross_shard_demotions;
     delta.drain_batch_le8 -= before.drain_batch_le8;

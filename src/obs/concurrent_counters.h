@@ -40,6 +40,7 @@ class ConcurrentStatsCounters {
     // Miss-path contention telemetry (sharded eviction domains).
     kLockAcquisitions,
     kLockFailures,
+    kLockWaits,
     kBufferDrops,
     kCrossShardDemotions,
     kDrainBatchLe8,
@@ -81,6 +82,7 @@ class ConcurrentStatsCounters {
           cell.v[kLockAcquisitions].load(std::memory_order_relaxed);
       stats.lock_failures +=
           cell.v[kLockFailures].load(std::memory_order_relaxed);
+      stats.lock_waits += cell.v[kLockWaits].load(std::memory_order_relaxed);
       stats.buffer_drops +=
           cell.v[kBufferDrops].load(std::memory_order_relaxed);
       stats.cross_shard_demotions +=
@@ -113,7 +115,7 @@ class ConcurrentStatsCounters {
   static constexpr size_t kCells = 64;
   static_assert((kCells & (kCells - 1)) == 0, "kCells must be a power of 2");
 
-  // Two cache lines per cell since the contention counters joined (14 x 8
+  // Two cache lines per cell since the contention counters joined (15 x 8
   // bytes); a cell is still exclusively owned by one thread ordinal, so
   // the no-ping-pong property is what matters, not the line count.
   struct alignas(128) Cell {

@@ -232,7 +232,8 @@ inline void AppendPingRequest(std::string* out) {
   AppendFrame(out, Op::kPing, Status::kOk, 0, nullptr, 0);
 }
 
-// CacheStats fields on the wire, in declaration order (cache_stats.h).
+// CacheStats fields on the wire: the original fields in declaration order
+// (cache_stats.h), then later additions in the order they were added.
 // Kept in sync with BenchStatsFields() (bench/bench_json.h) by
 // server_protocol_test.
 struct StatsWireField {
@@ -261,6 +262,8 @@ inline const StatsWireField* StatsWireFields(size_t* count) {
       {"probation_size", &CacheStats::probation_size},
       {"main_size", &CacheStats::main_size},
       {"ghost_size", &CacheStats::ghost_size},
+      // Later additions, appended so older decoders keep their prefix.
+      {"lock_waits", &CacheStats::lock_waits},
   };
   *count = sizeof(fields) / sizeof(fields[0]);
   return fields;

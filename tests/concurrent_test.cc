@@ -80,22 +80,28 @@ TEST_P(ConcurrentStressTest, ParallelHammerProducesSaneHitCounts) {
 TEST_P(ConcurrentStressTest, DisjointKeySpacesDoNotInterfere) {
   constexpr size_t kCapacity = 4000;
   constexpr int kThreads = 4;
+  constexpr int kSetSize = 200;
   auto cache = MakeCache(kCapacity);
+  // The LRUs admit every miss under a lock before returning, so after
+  // warmup each Get must hit. The clock's miss path is best-effort: a Get
+  // that finds the domain lock held buffers (or drops) its admission for
+  // the holder, so a miss after warmup can be a preempted holder's
+  // not-yet-drained batch rather than interference. For it the contract
+  // is checked after the join instead.
+  const bool admits_inline = GetParam() != "clock";
   std::vector<std::thread> threads;
   std::atomic<bool> failed{false};
+  auto key = [](int t, int k) {
+    return (static_cast<ObjectId>(t) << 32) + static_cast<ObjectId>(k);
+  };
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       // Each thread loops over a private working set much smaller than its
-      // fair share; after warmup, everything must be a hit.
-      const ObjectId base = static_cast<ObjectId>(t) << 32;
-      constexpr int kSetSize = 200;
+      // fair share.
       for (int round = 0; round < 50; ++round) {
         for (int k = 0; k < kSetSize; ++k) {
-          const bool hit = cache->Get(base + static_cast<ObjectId>(k));
-          if (round > 10 && !hit) {
-            // A miss after warmup means another thread's keys displaced ours
-            // (possible under global eviction, but should be rare with
-            // capacity 4000 vs 800 live keys). Count gross failures only.
+          const bool hit = cache->Get(key(t, k));
+          if (admits_inline && round > 10 && !hit) {
             failed.store(true);
           }
         }
@@ -106,6 +112,21 @@ TEST_P(ConcurrentStressTest, DisjointKeySpacesDoNotInterfere) {
     thread.join();
   }
   EXPECT_FALSE(failed.load());
+  // 800 keys fit in capacity 4000: nothing may have been evicted, and once
+  // a single-threaded pass has admitted any dropped admission, every key
+  // of every thread is resident.
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kSetSize; ++k) {
+      cache->Get(key(t, k));
+    }
+  }
+  cache->CheckInvariants();
+  EXPECT_EQ(cache->Stats().evictions, 0u);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kSetSize; ++k) {
+      EXPECT_TRUE(cache->Get(key(t, k))) << "thread " << t << " key " << k;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ConcurrentStressTest,

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/concurrent/concurrent_clock.h"
@@ -180,6 +181,41 @@ TEST(ShardDomainsTest, ShardSelectionIsStableAndInRange) {
     const size_t s = cache.ShardOf(id);
     EXPECT_LT(s, cache.num_shards());
     EXPECT_EQ(s, cache.ShardOf(id));  // pure function of the id
+  }
+}
+
+// The drain protocol (domain_cache.h): a Get that finds its domain locked
+// buffers the id and then bumps `pending`; a drain claims `pending` before
+// popping and skips the rings when it claimed nothing. Racing misses end
+// each episode, and at that quiescent point CheckInvariants requires every
+// domain's buffers empty after its drain — an id pushed but left behind
+// by a drain that reset the count would stay there.
+TEST(ShardDomainsTest, BufferedMissesAreNeverStranded) {
+  constexpr int kThreads = 4;
+  constexpr int kEpisodes = 40;
+  constexpr ObjectId kKeysPerThread = 3000;
+  for (const size_t shards : {1, 4}) {
+    ConcurrentQdLpFifo cache(1 << 14, /*num_stripes=*/16, shards);
+    for (int episode = 0; episode < kEpisodes; ++episode) {
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          const ObjectId base =
+              (static_cast<ObjectId>(episode) << 40) +
+              (static_cast<ObjectId>(t) << 32);
+          for (ObjectId k = 0; k < kKeysPerThread; ++k) {
+            cache.Get(base + k);
+          }
+        });
+      }
+      for (auto& thread : threads) {
+        thread.join();
+      }
+      cache.CheckInvariants();
+    }
+    const CacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.requests, uint64_t{kThreads} * kEpisodes * kKeysPerThread)
+        << shards;
   }
 }
 

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/concurrent/concurrent_clock.h"
@@ -304,6 +306,7 @@ void ExpectConcurrentCountsExact(const char* label, MakeCache make,
     // histogram — must be zero.
     EXPECT_EQ(stats.lock_acquisitions, stats.misses) << label;
     EXPECT_EQ(stats.lock_failures, 0u) << label;
+    EXPECT_EQ(stats.lock_waits, 0u) << label;
     EXPECT_EQ(stats.buffer_drops, 0u) << label;
     EXPECT_EQ(stats.cross_shard_demotions, 0u) << label;
     EXPECT_EQ(stats.drain_batch_le8 + stats.drain_batch_le64 +
@@ -349,6 +352,78 @@ TEST(ConcurrentStatsTest, SingleThreadedCountsAreExact) {
       "concurrent-qdlp-fifo/8-shards",
       [] { return std::make_unique<ConcurrentQdLpFifo>(kCapacity, 16, 8); },
       /*has_eviction_domains=*/true);
+}
+
+// The blocking paths (Admit, Remove, SetValue) try the home lock first; a
+// lone thread always gets it, so it never waits, and every one of its
+// blocking calls is exactly one acquisition.
+TEST(ConcurrentStatsTest, BlockingPathsNeverWaitSingleThreaded) {
+  for (const size_t shards : {1, 8}) {
+    ConcurrentQdLpFifo cache(101, 16, shards, QdlpValueOptions{1u << 20});
+    const std::vector<ObjectId> trace = BuildTrace("zipf", 0x5E7u);
+    uint64_t acquisitions = 0;
+    std::string value;
+    for (size_t i = 0; i < trace.size(); ++i) {
+      const ObjectId id = trace[i];
+      switch (i % 4) {
+        case 0:
+          ASSERT_EQ(cache.SetValue(id, "v" + std::to_string(id), 0),
+                    ConcurrentQdLpFifo::SetResult::kOk);
+          ++acquisitions;
+          break;
+        case 1:
+          cache.GetValue(id, 0, &value);  // lock-free, never admits
+          break;
+        case 2:
+          acquisitions += cache.Admit(id) ? 0 : 1;  // a hit takes no lock
+          break;
+        case 3:
+          cache.Remove(id);
+          ++acquisitions;
+          break;
+      }
+    }
+    const CacheStats stats = cache.Stats();
+    EXPECT_EQ(stats.lock_waits, 0u) << shards;
+    EXPECT_EQ(stats.lock_failures, 0u) << shards;
+    EXPECT_EQ(stats.lock_acquisitions, acquisitions) << shards;
+    cache.CheckInvariants();
+  }
+}
+
+// Contended, a blocking acquisition that finds the lock held is counted
+// before it blocks: writers racing on one domain show up as lock_waits.
+TEST(ConcurrentStatsTest, ContendedBlockingPathsCountLockWaits) {
+  ConcurrentQdLpFifo cache(4096, 16, 1, QdlpValueOptions{8u << 20});
+  constexpr int kThreads = 4;
+  constexpr uint64_t kMaxCallsPerThread = 2000000;
+  std::atomic<bool> seen{false};
+  std::atomic<uint64_t> calls{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const ObjectId base = static_cast<ObjectId>(t) << 32;
+      uint64_t i = 0;
+      for (; i < kMaxCallsPerThread && !seen.load(std::memory_order_relaxed);
+           ++i) {
+        cache.SetValue(base + i % 8192, "value", 0);
+        if (i % 256 == 255 && cache.Stats().lock_waits > 0) {
+          seen.store(true, std::memory_order_relaxed);
+        }
+      }
+      calls.fetch_add(i);
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  const CacheStats stats = cache.Stats();
+  EXPECT_GT(stats.lock_waits, 0u);
+  // Every wait is a blocking acquisition, and each SetValue makes one.
+  EXPECT_LE(stats.lock_waits, stats.lock_acquisitions);
+  EXPECT_EQ(stats.lock_acquisitions, calls.load());
+  EXPECT_EQ(stats.lock_failures, 0u);  // no Get ever buffered
+  cache.CheckInvariants();
 }
 
 TEST(ConcurrentStatsTest, QdLpOccupancyAddsUp) {

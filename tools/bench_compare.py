@@ -57,7 +57,7 @@ STATS_FIELDS = (
     "demotions", "ghost_hits", "lock_acquisitions", "lock_failures",
     "buffer_drops", "cross_shard_demotions", "drain_batch_le8",
     "drain_batch_le64", "drain_batch_gt64", "size", "probation_size",
-    "main_size", "ghost_size",
+    "main_size", "ghost_size", "lock_waits",
 )
 
 

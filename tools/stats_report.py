@@ -110,6 +110,12 @@ def render_row(name, stats, out, latency=None):
             f"try-lock failed {fmt_count(lock_fail)} "
             f"({fmt_ratio(lock_fail, attempts).strip()} of attempts)  "
             f"drops {fmt_count(drops)}")
+        waits = stats.get("lock_waits", 0)
+        if waits:
+            out.append(
+                f"  blocking waits: {fmt_count(waits)} "
+                f"({fmt_ratio(waits, lock_acq).strip()} of acquisitions "
+                "queued behind another holder)")
         if cross:
             out.append(
                 f"  cross-shard demotions: {fmt_count(cross)} (helper-pass"
