@@ -48,7 +48,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/util/random.h"
 #include "src/util/zipf.h"
@@ -114,7 +113,7 @@ void BM_ConcurrentGet(benchmark::State& state, double skew, Args... args) {
     // (bench_json_reporter.h strips these from the console and emits the
     // JSON "stats" block). Thread 0 only: one snapshot per run.
     const CacheStats stats = cache->Stats();
-    for (const BenchStatsField& field : BenchStatsFields()) {
+    for (const CacheStatsField& field : kCacheStatsFields) {
       state.counters[std::string("stats_") + field.key] =
           benchmark::Counter(static_cast<double>(stats.*field.member));
     }

@@ -5,10 +5,11 @@
 // exclusive lock, so FIFO-family caches are faster and scale with cores.
 // These implementations make that concrete:
 //
-//  * GlobalLockLruCache   — one mutex around an LRU (the naive
-//                           memcached-style design the paper argues against)
 //  * ShardedLruCache      — N LRU shards, each with its own mutex (the
-//                           common mitigation)
+//                           common mitigation), in sharded_lru.h
+//  * GlobalLockLruCache   — the same LRU with one shard: one mutex around
+//                           it (the naive memcached-style design the paper
+//                           argues against)
 //  * ConcurrentClockCache, ConcurrentS3FifoCache, ConcurrentQdLpFifo —
 //                           CLOCK, S3-FIFO and QD-LP-FIFO as Regions types
 //                           behind one DomainCache skeleton

@@ -1,6 +1,8 @@
 // LRU sharded across N independently-locked segments — the standard
 // mitigation for LRU lock contention. Hits still take an exclusive lock, but
-// only 1/N threads collide per shard.
+// only 1/N threads collide per shard. With one shard it is LRU behind a
+// single global mutex (GlobalLockLruCache below), the baseline whose
+// hit-path lock contention the paper's FIFO argument targets.
 
 #ifndef QDLP_SRC_CONCURRENT_SHARDED_LRU_H_
 #define QDLP_SRC_CONCURRENT_SHARDED_LRU_H_
@@ -51,9 +53,21 @@ class ShardedLruCache : public ConcurrentCache {
 
   Shard& ShardFor(ObjectId id);
   const Shard& ShardFor(ObjectId id) const;
+  size_t ShardIndex(ObjectId id) const;
 
   const size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
+};
+
+// One shard: every operation, hits included, serializes on one mutex (the
+// naive memcached-style design). Stats() reads that one shard under its
+// lock, so it is exact at any instant, not only at quiescent points.
+class GlobalLockLruCache : public ShardedLruCache {
+ public:
+  explicit GlobalLockLruCache(size_t capacity)
+      : ShardedLruCache(capacity, /*num_shards=*/1) {}
+
+  std::string_view name() const override { return "global-lock-lru"; }
 };
 
 }  // namespace qdlp

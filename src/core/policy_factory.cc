@@ -31,14 +31,70 @@ namespace qdlp {
 
 namespace {
 
+// The remap-invariant policies, over either index backing. Their
+// decisions depend on ids solely through index lookups and list order —
+// never on the id's value, hash, or hash-table iteration order — so a
+// bijective remap to dense ids cannot change any eviction decision. This
+// is the one place that holds their names and constructor arguments:
+// MakeBase instantiates it over the flat index, MakeDensePolicy over the
+// dense one. Policies that sample the index (random, lhd, hyperbolic, ...)
+// or hash ids into sketches (wtinylfu) stay out even where a dense index
+// would mechanically work.
+template <typename IndexFactory>
+std::unique_ptr<EvictionPolicy> MakeRemapInvariant(const std::string& name,
+                                                   size_t capacity,
+                                                   IndexFactory factory) {
+  if (name == "fifo") {
+    return std::make_unique<BasicFifoPolicy<IndexFactory>>(capacity, factory);
+  }
+  if (name == "lru") {
+    return std::make_unique<BasicLruPolicy<IndexFactory>>(capacity, factory);
+  }
+  if (name == "fifo-reinsertion" || name == "clock" || name == "clock1") {
+    return std::make_unique<BasicClockPolicy<IndexFactory>>(capacity, 1,
+                                                            factory);
+  }
+  if (name == "clock2") {
+    return std::make_unique<BasicClockPolicy<IndexFactory>>(capacity, 2,
+                                                            factory);
+  }
+  if (name == "clock3") {
+    return std::make_unique<BasicClockPolicy<IndexFactory>>(capacity, 3,
+                                                            factory);
+  }
+  if (name == "sieve") {
+    return std::make_unique<BasicSievePolicy<IndexFactory>>(capacity, factory);
+  }
+  if (name == "s3fifo") {
+    return std::make_unique<BasicS3FifoPolicy<IndexFactory>>(capacity, 0.10,
+                                                             0.9, factory);
+  }
+  if (name == "arc") {
+    return std::make_unique<BasicArcPolicy<IndexFactory>>(capacity, 1.0, -1.0,
+                                                          factory);
+  }
+  if (name == "arc-slow") {
+    return std::make_unique<BasicArcPolicy<IndexFactory>>(capacity, 0.25, -1.0,
+                                                          factory);
+  }
+  if (name == "arc-fixed") {
+    return std::make_unique<BasicArcPolicy<IndexFactory>>(capacity, 1.0, 0.1,
+                                                          factory);
+  }
+  if (name == "lirs") {
+    return std::make_unique<BasicLirsPolicy<IndexFactory>>(capacity, 0.01, 3.0,
+                                                           factory);
+  }
+  return nullptr;
+}
+
+// Every base (non-composed) policy over the flat index: the
+// remap-invariant ones, then those only the flat index serves.
 std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
                                          size_t capacity,
                                          const std::vector<ObjectId>* trace) {
-  if (name == "fifo") {
-    return std::make_unique<FifoPolicy>(capacity);
-  }
-  if (name == "lru") {
-    return std::make_unique<LruPolicy>(capacity);
+  if (auto policy = MakeRemapInvariant(name, capacity, FlatIndexFactory{})) {
+    return policy;
   }
   if (name == "lfu") {
     return std::make_unique<LfuPolicy>(capacity);
@@ -51,15 +107,6 @@ std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
   }
   if (name == "2q") {
     return std::make_unique<TwoQPolicy>(capacity);
-  }
-  if (name == "arc") {
-    return std::make_unique<ArcPolicy>(capacity);
-  }
-  if (name == "arc-slow") {
-    return std::make_unique<ArcPolicy>(capacity, /*adaptation_rate=*/0.25);
-  }
-  if (name == "arc-fixed") {
-    return std::make_unique<ArcPolicy>(capacity, 1.0, /*fixed_p_fraction=*/0.1);
   }
   if (name == "car") {
     return std::make_unique<CarPolicy>(capacity);
@@ -79,9 +126,6 @@ std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
   if (name == "lru-promote-old") {
     return std::make_unique<PromoteOldOnlyLru>(capacity);
   }
-  if (name == "lirs") {
-    return std::make_unique<LirsPolicy>(capacity);
-  }
   if (name == "lecar") {
     return std::make_unique<LecarPolicy>(capacity);
   }
@@ -94,23 +138,8 @@ std::unique_ptr<EvictionPolicy> MakeBase(const std::string& name,
   if (name == "hyperbolic") {
     return std::make_unique<HyperbolicPolicy>(capacity);
   }
-  if (name == "fifo-reinsertion" || name == "clock" || name == "clock1") {
-    return std::make_unique<ClockPolicy>(capacity, 1);
-  }
-  if (name == "clock2") {
-    return std::make_unique<ClockPolicy>(capacity, 2);
-  }
-  if (name == "clock3") {
-    return std::make_unique<ClockPolicy>(capacity, 3);
-  }
   if (name == "clockpro") {
     return std::make_unique<ClockProPolicy>(capacity);
-  }
-  if (name == "sieve") {
-    return std::make_unique<SievePolicy>(capacity);
-  }
-  if (name == "s3fifo") {
-    return std::make_unique<S3FifoPolicy>(capacity);
   }
   if (name == "belady") {
     if (trace == nullptr) {
@@ -166,52 +195,6 @@ std::unique_ptr<EvictionPolicy> ComposeQd(size_t total_capacity,
       probation, std::move(main), options, factory);
 }
 
-// Dense variants exist only for policies whose decisions depend on ids
-// solely through index lookups and list order — never on the id's value,
-// hash, or hash-table iteration order — so a bijective remap to dense ids
-// cannot change any eviction decision. Policies that sample the index
-// (random, lhd, hyperbolic, ...) or hash ids into sketches (wtinylfu) are
-// excluded even where a dense index would mechanically work.
-std::unique_ptr<EvictionPolicy> MakeDenseBase(const std::string& name,
-                                              size_t capacity,
-                                              uint64_t universe) {
-  const DenseIndexFactory factory{universe};
-  if (name == "fifo") {
-    return std::make_unique<DenseFifoPolicy>(capacity, factory);
-  }
-  if (name == "lru") {
-    return std::make_unique<DenseLruPolicy>(capacity, factory);
-  }
-  if (name == "fifo-reinsertion" || name == "clock" || name == "clock1") {
-    return std::make_unique<DenseClockPolicy>(capacity, 1, factory);
-  }
-  if (name == "clock2") {
-    return std::make_unique<DenseClockPolicy>(capacity, 2, factory);
-  }
-  if (name == "clock3") {
-    return std::make_unique<DenseClockPolicy>(capacity, 3, factory);
-  }
-  if (name == "sieve") {
-    return std::make_unique<DenseSievePolicy>(capacity, factory);
-  }
-  if (name == "s3fifo") {
-    return std::make_unique<DenseS3FifoPolicy>(capacity, 0.10, 0.9, factory);
-  }
-  if (name == "arc") {
-    return std::make_unique<DenseArcPolicy>(capacity, 1.0, -1.0, factory);
-  }
-  if (name == "arc-slow") {
-    return std::make_unique<DenseArcPolicy>(capacity, 0.25, -1.0, factory);
-  }
-  if (name == "arc-fixed") {
-    return std::make_unique<DenseArcPolicy>(capacity, 1.0, 0.1, factory);
-  }
-  if (name == "lirs") {
-    return std::make_unique<DenseLirsPolicy>(capacity, 0.01, 3.0, factory);
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 std::unique_ptr<EvictionPolicy> MakeQdPolicy(const std::string& base_name,
@@ -237,15 +220,15 @@ bool HasDenseVariant(const std::string& name) {
 std::unique_ptr<EvictionPolicy> MakeDensePolicy(const std::string& name,
                                                 size_t capacity,
                                                 uint64_t universe) {
+  const DenseIndexFactory factory{universe};
   std::string base;
   QdOptions options;
   if (!ParseQdName(name, &base, &options)) {
-    return MakeDenseBase(name, capacity, universe);
+    return MakeRemapInvariant(name, capacity, factory);
   }
-  return ComposeQd(capacity, options, DenseIndexFactory{universe},
-                   [&](size_t main_capacity) {
-                     return MakeDenseBase(base, main_capacity, universe);
-                   });
+  return ComposeQd(capacity, options, factory, [&](size_t main_capacity) {
+    return MakeRemapInvariant(base, main_capacity, factory);
+  });
 }
 
 std::unique_ptr<EvictionPolicy> MakePolicy(const std::string& name,

@@ -16,7 +16,11 @@
 // Dense variants (MakeDensePolicy): fifo, lru, fifo-reinsertion (= clock,
 // clock1), clock2, clock3, sieve, s3fifo, arc, arc-slow, arc-fixed, lirs,
 // and qd-<base> for each of them (qd-lp-fifo is QD over clock2) — one
-// rule, no special case.
+// rule, no special case. These remap-invariant names and their
+// constructor arguments are written once, in a function templated on the
+// index factory: MakePolicy instantiates it over the flat index,
+// MakeDensePolicy over the dense one, so the two variants of a name can
+// never be configured differently.
 
 #ifndef QDLP_SRC_CORE_POLICY_FACTORY_H_
 #define QDLP_SRC_CORE_POLICY_FACTORY_H_

@@ -57,26 +57,7 @@ struct CacheStats {
 
   // Flow counters over the window since `before` was snapped (occupancy
   // fields stay as this snapshot's — occupancy is a level, not a flow).
-  CacheStats DeltaSince(const CacheStats& before) const {
-    CacheStats delta = *this;
-    delta.requests -= before.requests;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.inserts -= before.inserts;
-    delta.evictions -= before.evictions;
-    delta.promotions -= before.promotions;
-    delta.demotions -= before.demotions;
-    delta.ghost_hits -= before.ghost_hits;
-    delta.lock_acquisitions -= before.lock_acquisitions;
-    delta.lock_failures -= before.lock_failures;
-    delta.lock_waits -= before.lock_waits;
-    delta.buffer_drops -= before.buffer_drops;
-    delta.cross_shard_demotions -= before.cross_shard_demotions;
-    delta.drain_batch_le8 -= before.drain_batch_le8;
-    delta.drain_batch_le64 -= before.drain_batch_le64;
-    delta.drain_batch_gt64 -= before.drain_batch_gt64;
-    return delta;
-  }
+  CacheStats DeltaSince(const CacheStats& before) const;
 
   double hit_ratio() const {
     return requests == 0 ? 0.0
@@ -100,6 +81,52 @@ struct CacheStats {
                                  static_cast<double>(departures);
   }
 };
+
+// One CacheStats counter as the outside world names it.
+struct CacheStatsField {
+  const char* key;
+  uint64_t CacheStats::*member;
+  bool flow;  // monotone counter; false for an occupancy level
+};
+
+// Every CacheStats counter, the one table the STATS wire body, the bench
+// JSON "stats" block (writer and google-benchmark counter bridge) and
+// DeltaSince walk. The order is the wire order: the original fields in
+// declaration order, then later additions in the order they were added,
+// so an older decoder keeps reading its prefix. Append, never reorder.
+inline constexpr CacheStatsField kCacheStatsFields[] = {
+    {"requests", &CacheStats::requests, true},
+    {"hits", &CacheStats::hits, true},
+    {"misses", &CacheStats::misses, true},
+    {"inserts", &CacheStats::inserts, true},
+    {"evictions", &CacheStats::evictions, true},
+    {"promotions", &CacheStats::promotions, true},
+    {"demotions", &CacheStats::demotions, true},
+    {"ghost_hits", &CacheStats::ghost_hits, true},
+    {"lock_acquisitions", &CacheStats::lock_acquisitions, true},
+    {"lock_failures", &CacheStats::lock_failures, true},
+    {"buffer_drops", &CacheStats::buffer_drops, true},
+    {"cross_shard_demotions", &CacheStats::cross_shard_demotions, true},
+    {"drain_batch_le8", &CacheStats::drain_batch_le8, true},
+    {"drain_batch_le64", &CacheStats::drain_batch_le64, true},
+    {"drain_batch_gt64", &CacheStats::drain_batch_gt64, true},
+    {"size", &CacheStats::size, false},
+    {"probation_size", &CacheStats::probation_size, false},
+    {"main_size", &CacheStats::main_size, false},
+    {"ghost_size", &CacheStats::ghost_size, false},
+    // Later additions.
+    {"lock_waits", &CacheStats::lock_waits, true},
+};
+
+inline CacheStats CacheStats::DeltaSince(const CacheStats& before) const {
+  CacheStats delta = *this;
+  for (const CacheStatsField& field : kCacheStatsFields) {
+    if (field.flow) {
+      delta.*field.member -= before.*field.member;
+    }
+  }
+  return delta;
+}
 
 }  // namespace qdlp
 

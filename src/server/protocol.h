@@ -20,7 +20,7 @@
 //   DELETE request: empty body.        response: empty (kOk / kMiss).
 //   STATS  request: empty body.        response: u32 field count + that
 //                                      many u64 CacheStats counters in
-//                                      StatsWireFields() order.
+//                                      kCacheStatsFields order.
 //   PING   request: empty body.        response: empty (kOk).
 //
 // Framing is self-describing, so any number of frames can be pipelined on
@@ -42,6 +42,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "src/obs/cache_stats.h"
@@ -232,52 +233,14 @@ inline void AppendPingRequest(std::string* out) {
   AppendFrame(out, Op::kPing, Status::kOk, 0, nullptr, 0);
 }
 
-// CacheStats fields on the wire: the original fields in declaration order
-// (cache_stats.h), then later additions in the order they were added.
-// Kept in sync with BenchStatsFields() (bench/bench_json.h) by
-// server_protocol_test.
-struct StatsWireField {
-  const char* key;
-  uint64_t CacheStats::*member;
-};
-
-inline const StatsWireField* StatsWireFields(size_t* count) {
-  static const StatsWireField fields[] = {
-      {"requests", &CacheStats::requests},
-      {"hits", &CacheStats::hits},
-      {"misses", &CacheStats::misses},
-      {"inserts", &CacheStats::inserts},
-      {"evictions", &CacheStats::evictions},
-      {"promotions", &CacheStats::promotions},
-      {"demotions", &CacheStats::demotions},
-      {"ghost_hits", &CacheStats::ghost_hits},
-      {"lock_acquisitions", &CacheStats::lock_acquisitions},
-      {"lock_failures", &CacheStats::lock_failures},
-      {"buffer_drops", &CacheStats::buffer_drops},
-      {"cross_shard_demotions", &CacheStats::cross_shard_demotions},
-      {"drain_batch_le8", &CacheStats::drain_batch_le8},
-      {"drain_batch_le64", &CacheStats::drain_batch_le64},
-      {"drain_batch_gt64", &CacheStats::drain_batch_gt64},
-      {"size", &CacheStats::size},
-      {"probation_size", &CacheStats::probation_size},
-      {"main_size", &CacheStats::main_size},
-      {"ghost_size", &CacheStats::ghost_size},
-      // Later additions, appended so older decoders keep their prefix.
-      {"lock_waits", &CacheStats::lock_waits},
-  };
-  *count = sizeof(fields) / sizeof(fields[0]);
-  return fields;
-}
-
 // STATS response body: u32 field count, then count x u64 counters. The
 // explicit count lets an old client read a newer server's prefix.
 inline std::string EncodeStatsBody(const CacheStats& stats) {
-  size_t count = 0;
-  const StatsWireField* fields = StatsWireFields(&count);
   std::string body;
-  protocol_internal::AppendU32(&body, static_cast<uint32_t>(count));
-  for (size_t i = 0; i < count; ++i) {
-    protocol_internal::AppendU64(&body, stats.*fields[i].member);
+  protocol_internal::AppendU32(
+      &body, static_cast<uint32_t>(std::size(kCacheStatsFields)));
+  for (const CacheStatsField& field : kCacheStatsFields) {
+    protocol_internal::AppendU64(&body, stats.*field.member);
   }
   return body;
 }
@@ -293,12 +256,11 @@ inline bool DecodeStatsBody(const uint8_t* body, size_t body_len,
   if (body_len != 4 + static_cast<size_t>(wire_count) * 8) {
     return false;
   }
-  size_t count = 0;
-  const StatsWireField* fields = StatsWireFields(&count);
   *stats = CacheStats{};
+  const size_t count = std::size(kCacheStatsFields);
   const size_t readable = wire_count < count ? wire_count : count;
   for (size_t i = 0; i < readable; ++i) {
-    stats->*fields[i].member = LoadU64(body + 4 + i * 8);
+    stats->*kCacheStatsFields[i].member = LoadU64(body + 4 + i * 8);
   }
   return true;
 }

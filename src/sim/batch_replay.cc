@@ -1,98 +1,40 @@
 #include "src/sim/batch_replay.h"
 
 #include <algorithm>
-#include <memory>
-#include <utility>
 
-#include "src/core/policy_factory.h"
-#include "src/util/check.h"
+#include "src/sim/replay_cells.h"
 
 namespace qdlp {
 
 namespace {
 
-struct Cell {
-  std::unique_ptr<EvictionPolicy> policy;
-  bool dense_ids = false;  // consumes the u32 stream; else translated ids
-};
+// Requests per interleaved batch: a u32 batch (4 KiB) stays comfortably
+// inside L1 while amortizing the per-cell loop overhead.
+constexpr size_t kBatchSize = 1024;
 
 }  // namespace
 
 std::vector<SimResult> BatchReplayTrace(
     const DenseTrace& dense, const std::vector<BatchCellSpec>& cells,
-    const BatchReplayOptions& options,
     const std::vector<ObjectId>* original_requests) {
-  QDLP_CHECK(options.batch_size >= 1);
-  const uint64_t universe = dense.num_objects();
-  const bool dense_index_ok = universe <= options.max_dense_universe;
-
-  std::vector<Cell> live;
-  live.reserve(cells.size());
-  bool any_original_ids = false;
-  for (const BatchCellSpec& spec : cells) {
-    Cell cell;
-    // Remap-invariant policies read the dense stream directly — over a
-    // direct-indexed slot array when the universe is small enough to
-    // afford one, over the usual flat hash index otherwise. Everything
-    // else gets the original ids its decisions depend on.
-    if (HasDenseVariant(spec.policy)) {
-      cell.dense_ids = true;
-      cell.policy = dense_index_ok
-                        ? MakeDensePolicy(spec.policy, spec.cache_size, universe)
-                        : MakePolicy(spec.policy, spec.cache_size);
-    } else {
-      cell.policy =
-          MakePolicy(spec.policy, spec.cache_size, original_requests);
-      any_original_ids = true;
-    }
-    if (cell.policy == nullptr) {
-      MakePolicyOrDie(spec.policy, spec.cache_size, original_requests);
-    }
-    live.push_back(std::move(cell));
-  }
-
+  ReplayCells replay(cells, dense.num_objects(), original_requests);
   const uint32_t* stream = dense.requests.data();
   const size_t num_requests = dense.requests.size();
   // Original-id cells share one translation of the current batch.
-  std::vector<ObjectId> scratch;
-  if (any_original_ids) {
-    scratch.resize(std::min(options.batch_size, num_requests));
+  std::vector<ObjectId> original;
+  if (replay.needs_original_ids()) {
+    original.resize(std::min(kBatchSize, num_requests));
   }
-
-  for (size_t pos = 0; pos < num_requests; pos += options.batch_size) {
-    const size_t len = std::min(options.batch_size, num_requests - pos);
-    if (any_original_ids) {
+  for (size_t pos = 0; pos < num_requests; pos += kBatchSize) {
+    const size_t len = std::min(kBatchSize, num_requests - pos);
+    if (replay.needs_original_ids()) {
       for (size_t i = 0; i < len; ++i) {
-        scratch[i] = dense.to_original[stream[pos + i]];
+        original[i] = dense.to_original[stream[pos + i]];
       }
     }
-    for (Cell& cell : live) {
-      // The policies count their own hits (Stats(), read below); the replay
-      // loop only drives accesses.
-      if (cell.dense_ids) {
-        cell.policy->AccessBatch(stream + pos, len);
-      } else {
-        for (size_t i = 0; i < len; ++i) {
-          cell.policy->Access(scratch[i]);
-        }
-      }
-    }
+    replay.Drive(stream + pos, original.data(), len);
   }
-
-  std::vector<SimResult> results;
-  results.reserve(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    SimResult result;
-    result.policy = live[i].policy->name();
-    result.trace = dense.name;
-    result.cache_size = live[i].policy->capacity();
-    result.requests = num_requests;
-    result.stats = live[i].policy->Stats();
-    result.hits = result.stats.hits;
-    QDLP_CHECK(result.stats.requests == num_requests);
-    results.push_back(std::move(result));
-  }
-  return results;
+  return replay.Results(dense.name, num_requests);
 }
 
 }  // namespace qdlp

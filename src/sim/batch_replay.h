@@ -6,18 +6,19 @@
 // the cells advance through the stream together in request batches, so a
 // batch is fetched once and stays cache-hot while every cell consumes it:
 //
-//   for each batch of ~1024 requests:
-//     translate the batch to original ids once (shared by original-id cells)
+//   for each batch of 1024 requests:
+//     translate the batch to original ids once (only if some cell needs them)
 //     for each cell: cell.policy consumes the batch
 //
-// Cells fall into three lanes, chosen per policy:
+// One lane rule, shared with the streaming engine (replay_cells.h), puts
+// each cell on one of three lanes:
 //  * dense index + dense ids — remap-invariant policy (HasDenseVariant:
 //    the FIFO/CLOCK/SIEVE/S3-FIFO family, LRU, ARC, LIRS and qd-<base>
-//    over any of them), universe small enough: direct-indexed slot arrays,
-//    u32 stream, prefetch pipeline.
-//  * flat index + dense ids — remap-invariant policy, universe above
-//    `max_dense_universe`: still reads the halved-width stream, skips the
-//    translation, keeps the prefetch pipeline over the hash index.
+//    over any of them) and 0 < universe <= kMaxDenseUniverse:
+//    direct-indexed slot arrays, u32 stream, prefetch pipeline.
+//  * flat index + dense ids — remap-invariant policy, any other universe:
+//    still reads the halved-width stream, skips the translation, keeps the
+//    prefetch pipeline over the hash index.
 //  * flat index + original ids — policies whose decisions depend on id
 //    values/hash order (random sampling, sketches) and Belady: fed the
 //    exact original sequence so results match the per-cell replay bit for
@@ -47,15 +48,10 @@ struct BatchCellSpec {
   size_t cache_size = 0;
 };
 
-struct BatchReplayOptions {
-  // Requests per interleaved batch. The default keeps a u32 batch (4 KiB)
-  // comfortably inside L1 while amortizing the per-cell loop overhead.
-  size_t batch_size = 1024;
-  // A DenseIndex spends O(universe) slots per cell; above this many
-  // distinct objects, remap-invariant policies fall back to the flat index
-  // (still fed dense ids). 2^26 slots is 256 MiB/cell at 4-byte values.
-  uint64_t max_dense_universe = uint64_t{1} << 26;
-};
+// A DenseIndex spends O(universe) slots per cell; above this many distinct
+// objects, remap-invariant policies run over the flat index (still fed
+// dense ids). 2^26 slots is 256 MiB/cell at 4-byte values.
+constexpr uint64_t kMaxDenseUniverse = uint64_t{1} << 26;
 
 // Replays every cell over `dense` in one interleaved pass. Results are in
 // cell order, with SimResult::trace taken from `dense.name`. Cells whose
@@ -64,7 +60,6 @@ struct BatchReplayOptions {
 // unknown policy names with a message listing the known ones.
 std::vector<SimResult> BatchReplayTrace(
     const DenseTrace& dense, const std::vector<BatchCellSpec>& cells,
-    const BatchReplayOptions& options = {},
     const std::vector<ObjectId>* original_requests = nullptr);
 
 }  // namespace qdlp

@@ -3,7 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/core/policy_factory.h"
+#include "src/sim/replay_cells.h"
 #include "src/sim/stack_distance.h"
 #include "src/trace/dense_trace.h"
 #include "src/trace/spill_mapper.h"
@@ -51,11 +51,6 @@ class StreamIdMapper {
   std::unique_ptr<SpillableDenseIdMapper> spill_;
 };
 
-struct Cell {
-  std::unique_ptr<EvictionPolicy> policy;
-  bool dense_ids = false;  // consumes the u32 chunk; else the raw chunk
-};
-
 }  // namespace
 
 StreamReplayResult StreamReplayTrace(TraceSource& source,
@@ -65,32 +60,10 @@ StreamReplayResult StreamReplayTrace(TraceSource& source,
   QDLP_CHECK(options.chunk_size >= 1);
   StreamReplayResult result;
 
-  // Same lane split as BatchReplayTrace, with one difference: the dense
-  // direct-indexed lane needs the universe size before the stream has been
+  // The dense-index lane needs the universe before the stream has been
   // seen, so it only engages when the caller supplies it.
-  const bool dense_index_ok = options.dense_universe > 0 &&
-                              options.dense_universe <= options.max_dense_universe;
-  std::vector<Cell> live;
-  live.reserve(cells.size());
-  for (const BatchCellSpec& spec : cells) {
-    Cell cell;
-    if (HasDenseVariant(spec.policy)) {
-      cell.dense_ids = true;
-      cell.policy = dense_index_ok
-                        ? MakeDensePolicy(spec.policy, spec.cache_size,
-                                          options.dense_universe)
-                        : MakePolicy(spec.policy, spec.cache_size);
-    } else {
-      // Sampling/sketch policies read original ids straight from the raw
-      // chunk. Belady lands here too and dies below: a stream has no
-      // materialized future to construct it from.
-      cell.policy = MakePolicy(spec.policy, spec.cache_size);
-    }
-    if (cell.policy == nullptr) {
-      MakePolicyOrDie(spec.policy, spec.cache_size);
-    }
-    live.push_back(std::move(cell));
-  }
+  ReplayCells replay(cells, options.dense_universe,
+                     /*original_requests=*/nullptr);
 
   StreamIdMapper mapper(options);
   std::unique_ptr<ShardsProfiler> profiler;
@@ -109,7 +82,7 @@ StreamReplayResult StreamReplayTrace(TraceSource& source,
     for (size_t i = 0; i < len; ++i) {
       dense[i] = mapper.MapOrAssign(raw[i]);
     }
-    if (dense_index_ok) {
+    if (options.dense_universe > 0) {
       QDLP_CHECK_MSG(mapper.num_ids() <= options.dense_universe,
                      "stream has more distinct ids than the dense_universe "
                      "hint promised");
@@ -119,15 +92,7 @@ StreamReplayResult StreamReplayTrace(TraceSource& source,
         profiler->Record(raw[i]);
       }
     }
-    for (Cell& cell : live) {
-      if (cell.dense_ids) {
-        cell.policy->AccessBatch(dense.data(), len);
-      } else {
-        for (size_t i = 0; i < len; ++i) {
-          cell.policy->Access(raw[i]);
-        }
-      }
-    }
+    replay.Drive(dense.data(), raw.data(), len);
     num_requests += len;
   }
 
@@ -144,18 +109,7 @@ StreamReplayResult StreamReplayTrace(TraceSource& source,
     return result;
   }
 
-  result.cells.reserve(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    SimResult cell_result;
-    cell_result.policy = live[i].policy->name();
-    cell_result.trace = trace_name;
-    cell_result.cache_size = live[i].policy->capacity();
-    cell_result.requests = num_requests;
-    cell_result.stats = live[i].policy->Stats();
-    cell_result.hits = cell_result.stats.hits;
-    QDLP_CHECK(cell_result.stats.requests == num_requests);
-    result.cells.push_back(std::move(cell_result));
-  }
+  result.cells = replay.Results(trace_name, num_requests);
   if (profiler != nullptr) {
     result.lru_mrc.reserve(options.mrc_sizes.size());
     for (const uint64_t size : options.mrc_sizes) {

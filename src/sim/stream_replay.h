@@ -12,12 +12,13 @@
 //     profiler.Record(raw[i])                        // optional SHARDS MRC
 //     for each cell: consume dense[] or raw[]        // same three lanes
 //
-// Cells use the same lane split as batch_replay.h: remap-invariant
-// policies read the dense stream (over a direct-indexed slot array when
-// the distinct-id count is known upfront and small enough, the flat hash
-// index otherwise); sampling/sketch policies read the raw chunk, whose
-// original ids their decisions depend on. Belady is impossible here — it
-// needs the full future — and aborts with the factory's diagnostic.
+// The cells are the batched engine's (replay_cells.h), under the same lane
+// rule: remap-invariant policies read the dense stream (over a
+// direct-indexed slot array when the distinct-id count is known upfront
+// and at most kMaxDenseUniverse, the flat hash index otherwise);
+// sampling/sketch policies read the raw chunk, whose original ids their
+// decisions depend on. Belady is impossible here — it needs the full
+// future — and aborts with the factory's diagnostic.
 //
 // The id mapper is chosen by `mem_budget_bytes`: 0 keeps the plain
 // in-memory DenseIdMapper; a positive budget swaps in the spillable
@@ -47,8 +48,8 @@
 namespace qdlp {
 
 struct StreamReplayOptions {
-  // Requests pulled and translated per chunk. Matches the batched engine's
-  // default batch: a u32 chunk of this size stays L1-resident.
+  // Requests pulled and translated per chunk: a u32 chunk of this size
+  // stays L1-resident.
   size_t chunk_size = 4096;
   // 0 = unbudgeted in-memory DenseIdMapper. Positive = spillable mapper
   // capped at this many resident bytes (see SpillMapperOptions).
@@ -56,14 +57,12 @@ struct StreamReplayOptions {
   // Spill-run directory for the budgeted mapper ("" = $TMPDIR or /tmp).
   std::string spill_dir;
   // Exact distinct-id count of the stream, when known (from a counting
-  // pre-pass or trace metadata). > 0 and <= max_dense_universe lets
+  // pre-pass or trace metadata). > 0 and <= kMaxDenseUniverse lets
   // remap-invariant cells use direct-indexed dense policies, matching the
   // in-memory batched engine's fast lane. Must not undercount: the replay
   // aborts if the stream produces more distinct ids than promised. 0 =
   // unknown; dense cells run over the flat hash index (same results).
   uint64_t dense_universe = 0;
-  // Same guard as BatchReplayOptions::max_dense_universe.
-  uint64_t max_dense_universe = uint64_t{1} << 26;
   // > 0: record every original id into a ShardsProfiler at this sample
   // rate and emit the LRU miss-ratio curve at `mrc_sizes`.
   double shards_sample_rate = 0.0;

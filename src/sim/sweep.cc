@@ -15,86 +15,36 @@ namespace qdlp {
 
 namespace {
 
-// Per-cell engine: one task per (trace, size fraction), each cell a full
-// replay of the original trace. A whole-trace task would make the longest
-// trace times the whole fraction sweep the critical path; per-(trace,
-// fraction) tasks keep every core busy through the tail.
-void RunSweepPerCell(const std::vector<Trace>& traces,
-                     const SweepConfig& config, ThreadPool& pool,
-                     std::vector<SweepPoint>& points) {
-  const size_t per_trace = config.size_fractions.size() * config.policies.size();
-  for (size_t t = 0; t < traces.size(); ++t) {
-    for (size_t f = 0; f < config.size_fractions.size(); ++f) {
-      // per_trace by value: this helper returns before pool.Wait(), so its
-      // frame is gone by the time workers run; traces/config/points are the
-      // caller's and outlive the pool.
-      pool.Submit([&, t, f, per_trace] {
-        const Trace& trace = traces[t];
-        const double fraction = config.size_fractions[f];
-        const size_t cache_size = CacheSizeForFraction(trace, fraction);
-        size_t slot = t * per_trace + f * config.policies.size();
-        for (const std::string& policy : config.policies) {
-          const SimResult result = SimulatePolicy(policy, trace, cache_size);
-          SweepPoint& point = points[slot++];
-          point.trace = trace.name;
-          point.dataset = trace.dataset;
-          point.cls = trace.cls;
-          point.size_fraction = fraction;
-          point.cache_size = cache_size;
-          point.policy = policy;
-          point.miss_ratio = result.miss_ratio();
-        }
-      });
+// A trace's cells in (fraction, policy) nesting — the order of its
+// SweepPoint slots — sized from its distinct-object count.
+std::vector<BatchCellSpec> TraceCells(const SweepConfig& config,
+                                      uint64_t num_objects) {
+  std::vector<BatchCellSpec> cells;
+  cells.reserve(config.size_fractions.size() * config.policies.size());
+  for (const double fraction : config.size_fractions) {
+    const size_t cache_size = CacheSizeForCount(num_objects, fraction);
+    for (const std::string& policy : config.policies) {
+      cells.push_back(BatchCellSpec{policy, cache_size});
     }
   }
+  return cells;
 }
 
-// Batched engine: one task per trace. The task densifies the trace once,
-// then a single interleaved pass drives every (fraction x policy) cell
-// (batch_replay.h). Coarser tasks than per-cell, but each task does its
-// work in one stream pass instead of cells-many, so the critical path
-// shrinks rather than grows.
-void RunSweepBatched(const std::vector<Trace>& traces,
-                     const SweepConfig& config, ThreadPool& pool,
-                     std::vector<SweepPoint>& points) {
-  const size_t per_trace = config.size_fractions.size() * config.policies.size();
-  for (size_t t = 0; t < traces.size(); ++t) {
-    // Same lifetime rule as RunSweepPerCell: per_trace by value.
-    pool.Submit([&, t, per_trace] {
-      const Trace& trace = traces[t];
-      const DenseTrace dense = DensifyTrace(trace);
-      // Cells in (fraction, policy) nesting — the exact slot order.
-      std::vector<BatchCellSpec> cells;
-      cells.reserve(per_trace);
-      for (const double fraction : config.size_fractions) {
-        const size_t cache_size = CacheSizeForFraction(trace, fraction);
-        for (const std::string& policy : config.policies) {
-          cells.push_back(BatchCellSpec{policy, cache_size});
-        }
-      }
-      BatchReplayOptions options;
-      options.batch_size = config.batch_size;
-      options.max_dense_universe = config.max_dense_universe;
-      const std::vector<SimResult> results =
-          BatchReplayTrace(dense, cells, options, &trace.requests);
-      size_t slot = t * per_trace;
-      size_t cell = 0;
-      for (size_t f = 0; f < config.size_fractions.size(); ++f) {
-        for (const std::string& policy : config.policies) {
-          const SimResult& result = results[cell];
-          SweepPoint& point = points[slot];
-          point.trace = trace.name;
-          point.dataset = trace.dataset;
-          point.cls = trace.cls;
-          point.size_fraction = config.size_fractions[f];
-          point.cache_size = cells[cell].cache_size;
-          point.policy = policy;
-          point.miss_ratio = result.miss_ratio();
-          ++slot;
-          ++cell;
-        }
-      }
-    });
+// Writes one point per cell of a trace into its slots, starting at `out`.
+void WriteTracePoints(const SweepConfig& config, const std::string& trace,
+                      const std::string& dataset, WorkloadClass cls,
+                      const std::vector<BatchCellSpec>& cells,
+                      const std::vector<SimResult>& results, SweepPoint* out) {
+  QDLP_CHECK(results.size() == cells.size());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    SweepPoint& point = out[c];
+    point.trace = trace;
+    point.dataset = dataset;
+    point.cls = cls;
+    point.size_fraction = config.size_fractions[c / config.policies.size()];
+    point.cache_size = cells[c].cache_size;
+    point.policy = cells[c].policy;
+    point.miss_ratio = results[c].miss_ratio();
   }
 }
 
@@ -118,7 +68,6 @@ std::vector<SweepPoint> RunSweepStreamed(
       replay_options.chunk_size = config.stream_chunk_size;
       replay_options.mem_budget_bytes = config.stream_mem_budget_bytes;
       replay_options.spill_dir = config.stream_spill_dir;
-      replay_options.max_dense_universe = config.max_dense_universe;
 
       // Fractional cache sizes need the distinct-id count before the
       // replay starts; discover it with a counting pre-pass unless the
@@ -136,15 +85,7 @@ std::vector<SweepPoint> RunSweepStreamed(
         num_objects = counted.num_objects;
       }
       replay_options.dense_universe = num_objects;
-
-      std::vector<BatchCellSpec> cells;
-      cells.reserve(per_trace);
-      for (const double fraction : config.size_fractions) {
-        const size_t cache_size = CacheSizeForCount(num_objects, fraction);
-        for (const std::string& policy : config.policies) {
-          cells.push_back(BatchCellSpec{policy, cache_size});
-        }
-      }
+      const std::vector<BatchCellSpec> cells = TraceCells(config, num_objects);
 
       std::string open_error;
       auto source = OpenTraceSource(spec.path, &open_error);
@@ -153,24 +94,8 @@ std::vector<SweepPoint> RunSweepStreamed(
       const StreamReplayResult replay =
           StreamReplayTrace(*source, trace_name, cells, replay_options);
       QDLP_CHECK_MSG(replay.ok, replay.error.c_str());
-
-      size_t slot = t * per_trace;
-      size_t cell = 0;
-      for (size_t f = 0; f < config.size_fractions.size(); ++f) {
-        for (const std::string& policy : config.policies) {
-          const SimResult& result = replay.cells[cell];
-          SweepPoint& point = points[slot];
-          point.trace = trace_name;
-          point.dataset = spec.dataset;
-          point.cls = spec.cls;
-          point.size_fraction = config.size_fractions[f];
-          point.cache_size = cells[cell].cache_size;
-          point.policy = policy;
-          point.miss_ratio = result.miss_ratio();
-          ++slot;
-          ++cell;
-        }
-      }
+      WriteTracePoints(config, trace_name, spec.dataset, spec.cls, cells,
+                       replay.cells, &points[t * per_trace]);
     });
   }
   pool.Wait();
@@ -182,19 +107,51 @@ std::vector<SweepPoint> RunSweep(const std::vector<Trace>& traces,
   QDLP_CHECK(!config.policies.empty());
   QDLP_CHECK(!config.size_fractions.empty());
 
-  const size_t per_trace = config.size_fractions.size() * config.policies.size();
-  std::vector<SweepPoint> points(traces.size() * per_trace);
+  std::vector<std::vector<BatchCellSpec>> cells(traces.size());
+  std::vector<std::vector<SimResult>> results(traces.size());
+  for (size_t t = 0; t < traces.size(); ++t) {
+    cells[t] = TraceCells(config, traces[t].num_objects);
+    results[t].resize(cells[t].size());
+  }
 
-  // Output slots are preassigned so ordering is identical to the
-  // sequential nesting (trace-major, then fraction, then policy) no matter
-  // which engine ran or how its tasks were scheduled.
+  // Every task fills preassigned result slots, so the points come out in
+  // the sequential nesting (trace-major, then fraction, then policy) no
+  // matter which engine ran or how its tasks were scheduled.
   ThreadPool pool(config.num_threads);
-  if (config.engine == SweepEngine::kBatched) {
-    RunSweepBatched(traces, config, pool, points);
-  } else {
-    RunSweepPerCell(traces, config, pool, points);
+  for (size_t t = 0; t < traces.size(); ++t) {
+    if (config.engine == SweepEngine::kBatched) {
+      // One task per trace: densify once, then a single interleaved pass
+      // drives every cell (batch_replay.h). Coarser tasks than per-cell,
+      // but each does its work in one stream pass instead of cells-many,
+      // so the critical path shrinks rather than grows.
+      pool.Submit([&, t] {
+        results[t] = BatchReplayTrace(DensifyTrace(traces[t]), cells[t],
+                                      &traces[t].requests);
+      });
+      continue;
+    }
+    // Per-cell engine: one task per (trace, fraction), each cell a full
+    // replay of the original trace. A whole-trace task would make the
+    // longest trace times the whole fraction sweep the critical path;
+    // per-(trace, fraction) tasks keep every core busy through the tail.
+    for (size_t first = 0; first < cells[t].size();
+         first += config.policies.size()) {
+      pool.Submit([&, t, first] {
+        for (size_t c = first; c < first + config.policies.size(); ++c) {
+          results[t][c] = SimulatePolicy(cells[t][c].policy, traces[t],
+                                         cells[t][c].cache_size);
+        }
+      });
+    }
   }
   pool.Wait();
+
+  const size_t per_trace = config.size_fractions.size() * config.policies.size();
+  std::vector<SweepPoint> points(traces.size() * per_trace);
+  for (size_t t = 0; t < traces.size(); ++t) {
+    WriteTracePoints(config, traces[t].name, traces[t].dataset, traces[t].cls,
+                     cells[t], results[t], &points[t * per_trace]);
+  }
   return points;
 }
 

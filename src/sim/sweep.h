@@ -1,6 +1,11 @@
 // Parallel experiment sweeps: (trace × cache-size fraction × policy) grids
 // replayed across a thread pool. This is the workhorse behind the Fig 2 and
 // Fig 5 harnesses.
+//
+// Every sweep entry point builds a trace's cells the same way —
+// (fraction, policy) nesting, sized by CacheSizeForCount from the trace's
+// distinct-object count — and writes its points the same way, so the
+// engines can differ only in how the cells are replayed.
 
 #ifndef QDLP_SRC_SIM_SWEEP_H_
 #define QDLP_SRC_SIM_SWEEP_H_
@@ -43,9 +48,6 @@ struct SweepConfig {
   // 0 = hardware concurrency.
   size_t num_threads = 0;
   SweepEngine engine = SweepEngine::kBatched;
-  // Batched engine tuning; see BatchReplayOptions for semantics.
-  size_t batch_size = 1024;
-  uint64_t max_dense_universe = uint64_t{1} << 26;
   // Streaming-engine tuning (RunSweepStreamed only); see
   // StreamReplayOptions for semantics.
   size_t stream_chunk_size = 4096;

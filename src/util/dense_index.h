@@ -17,9 +17,9 @@
 // (Find/Emplace/Erase/Contains/Reserve/CheckInvariants/MemoryBytes/
 // Prefetch), so the core policies can be instantiated against either
 // backing through an index factory (below). Memory is O(universe) per
-// instance rather than O(capacity): the batched sweep engine only selects
-// this backing when the universe is small enough for that to be a win
-// (BatchReplayOptions::max_dense_universe).
+// instance rather than O(capacity): the sweep engines only select this
+// backing when the universe is small enough for that to be a win
+// (kMaxDenseUniverse, src/sim/batch_replay.h).
 
 #ifndef QDLP_SRC_UTIL_DENSE_INDEX_H_
 #define QDLP_SRC_UTIL_DENSE_INDEX_H_

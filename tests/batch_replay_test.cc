@@ -1,10 +1,12 @@
 // Batched sweep engine differential: one interleaved pass over the dense
 // stream must be observationally identical to replaying each cell alone
 // over the original trace — bit-identical hit counts, hence bit-identical
-// miss ratios, for every serial policy across every lane of the engine
-// (dense index + dense ids, flat index + dense ids, flat index + original
-// ids). RunSweep's two engines are likewise pinned against each other,
-// points compared field by field in order.
+// miss ratios, for every serial policy on the lanes a materialized trace
+// takes (dense index + dense ids, flat index + original ids; the flat
+// index + dense ids lane is pinned in stream_replay_test). Every dense
+// policy variant is pinned against its flat twin directly, and RunSweep's
+// two engines against each other, points compared field by field in
+// order.
 
 #include <gtest/gtest.h>
 
@@ -93,7 +95,7 @@ TEST(BatchReplayTest, MatchesPerCellReplayForAllPolicies) {
       }
     }
     const std::vector<SimResult> batched =
-        BatchReplayTrace(dense, cells, {}, &trace.requests);
+        BatchReplayTrace(dense, cells, &trace.requests);
     ASSERT_EQ(batched.size(), cells.size());
     for (size_t i = 0; i < cells.size(); ++i) {
       auto policy =
@@ -109,62 +111,11 @@ TEST(BatchReplayTest, MatchesPerCellReplayForAllPolicies) {
   }
 }
 
-// Forcing max_dense_universe = 0 pushes every remap-invariant policy onto
-// the flat-index + dense-ids lane; results must not move.
-TEST(BatchReplayTest, FlatIndexLaneMatchesDenseIndexLane) {
-  ZipfTraceConfig config;
-  config.num_requests = 30000 / kScale;
-  config.num_objects = 4000 / kScale;
-  const Trace trace = GenerateZipf(config);
-  const DenseTrace dense = DensifyTrace(trace);
-  std::vector<BatchCellSpec> cells;
-  for (const char* policy :
-       {"fifo", "lru", "fifo-reinsertion", "clock2", "clock3", "sieve",
-        "s3fifo", "qd-lp-fifo", "arc", "arc-slow", "arc-fixed", "lirs",
-        "qd-arc", "qd-lirs", "qd-s3fifo"}) {
-    ASSERT_TRUE(HasDenseVariant(policy)) << policy;
-    cells.push_back(BatchCellSpec{policy, 400 / kScale});
-  }
-  BatchReplayOptions flat_lane;
-  flat_lane.max_dense_universe = 0;
-  const std::vector<SimResult> with_dense_index =
-      BatchReplayTrace(dense, cells, {}, &trace.requests);
-  const std::vector<SimResult> with_flat_index =
-      BatchReplayTrace(dense, cells, flat_lane, &trace.requests);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(with_dense_index[i].hits, with_flat_index[i].hits)
-        << cells[i].policy;
-  }
-}
-
-// Odd batch sizes exercise the tail-batch handling.
-TEST(BatchReplayTest, BatchSizeDoesNotChangeResults) {
-  HighReuseKvConfig config;
-  config.num_requests = 10000 / kScale;
-  config.num_objects = 900 / kScale;
-  const Trace trace = GenerateHighReuseKv(config);
-  const DenseTrace dense = DensifyTrace(trace);
-  const size_t cache_size = 90 / kScale;
-  const std::vector<BatchCellSpec> cells = {{"qd-lp-fifo", cache_size},
-                                            {"lhd", cache_size},
-                                            {"belady", cache_size}};
-  std::vector<SimResult> reference =
-      BatchReplayTrace(dense, cells, {}, &trace.requests);
-  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{100000}}) {
-    BatchReplayOptions options;
-    options.batch_size = batch_size;
-    const std::vector<SimResult> results =
-        BatchReplayTrace(dense, cells, options, &trace.requests);
-    for (size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ(results[i].hits, reference[i].hits)
-          << cells[i].policy << " batch " << batch_size;
-    }
-  }
-}
-
 // Dense policy variants are drop-in equivalent: built directly (no engine
 // in between), a dense-backed policy fed dense ids produces the same hit
-// sequence as the flat-backed one fed the original ids.
+// sequence as the flat-backed one fed the original ids. Every registered
+// name with a dense variant is covered, so a policy that gains one is
+// pinned here without a list to update.
 TEST(BatchReplayTest, DensePolicyVariantsMatchFlatDirectly) {
   ScanLoopConfig config;
   config.num_requests = 15000 / kScale;
@@ -172,9 +123,15 @@ TEST(BatchReplayTest, DensePolicyVariantsMatchFlatDirectly) {
   const Trace trace = GenerateScanLoop(config);
   const DenseTrace dense = DensifyTrace(trace);
   const size_t cache_size = 150 / kScale;
-  for (const char* name :
-       {"fifo", "lru", "clock2", "sieve", "s3fifo", "qd-lp-fifo", "arc",
-        "arc-slow", "arc-fixed", "lirs", "qd-arc", "qd-lirs"}) {
+  std::vector<std::string> names = KnownPolicyNames();
+  names.push_back("qd-s3fifo");
+  names.push_back("qd-fifo");
+  size_t covered = 0;
+  for (const std::string& name : names) {
+    if (!HasDenseVariant(name)) {
+      continue;
+    }
+    ++covered;
     auto dense_policy = MakeDensePolicy(name, cache_size, dense.num_objects());
     ASSERT_NE(dense_policy, nullptr) << name;
     auto flat_policy = MakePolicyOrDie(name, cache_size);
@@ -193,6 +150,8 @@ TEST(BatchReplayTest, DensePolicyVariantsMatchFlatDirectly) {
     dense_policy->CheckInvariants();
     flat_policy->CheckInvariants();
   }
+  // The 11 remap-invariant bases and their QD forms in the list above.
+  EXPECT_GE(covered, 16u);
 }
 
 // The two RunSweep engines must emit the same points in the same order —

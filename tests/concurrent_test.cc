@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/concurrent/concurrent_clock.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/policies/lru.h"
 #include "src/trace/generators.h"

@@ -21,7 +21,6 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
-#include "src/concurrent/locked_lru.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/core/policy_factory.h"
 #include "src/core/qd_cache.h"

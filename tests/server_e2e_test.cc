@@ -170,11 +170,9 @@ TEST_F(ServerE2eTest, LoopbackMatchesInProcessStats) {
   CacheStats wire_stats;
   ASSERT_TRUE(client.GetStats(&wire_stats));
   const CacheStats local_stats = local->Stats();
-  size_t count = 0;
-  const StatsWireField* fields = StatsWireFields(&count);
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(wire_stats.*fields[i].member, local_stats.*fields[i].member)
-        << fields[i].key;
+  for (const CacheStatsField& field : kCacheStatsFields) {
+    EXPECT_EQ(wire_stats.*field.member, local_stats.*field.member)
+        << field.key;
   }
   server_->cache().CheckInvariants();
   local->CheckInvariants();
@@ -443,11 +441,9 @@ TEST_F(ServerE2eTest, ZeroCopyGetRepliesMatchInProcessGet) {
   CacheStats wire_stats;
   ASSERT_TRUE(client.GetStats(&wire_stats));
   const CacheStats local_stats = local->Stats();
-  size_t count = 0;
-  const StatsWireField* fields = StatsWireFields(&count);
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(wire_stats.*fields[i].member, local_stats.*fields[i].member)
-        << fields[i].key;
+  for (const CacheStatsField& field : kCacheStatsFields) {
+    EXPECT_EQ(wire_stats.*field.member, local_stats.*field.member)
+        << field.key;
   }
   server_->cache().CheckInvariants();
 }

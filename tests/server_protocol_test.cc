@@ -1,17 +1,16 @@
 // Wire-protocol codec tests: frame round-trips, incremental parsing,
-// hostile-input rejection, and the STATS body encoding — plus the
-// cross-check that keeps StatsWireFields() and BenchStatsFields() (the
-// bench JSON schema) identical.
+// hostile-input rejection, and the STATS body encoding — plus a pin of
+// the STATS body's field order.
 
 #include "src/server/protocol.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
 #include "src/obs/cache_stats.h"
 
 namespace qdlp {
@@ -229,8 +228,8 @@ TEST(ServerProtocolTest, BadStatusAndReservedAreRejected) {
 }
 
 TEST(ServerProtocolTest, StatsBodyRoundTrip) {
-  size_t count = 0;
-  const StatsWireField* fields = StatsWireFields(&count);
+  const size_t count = std::size(kCacheStatsFields);
+  const CacheStatsField* fields = kCacheStatsFields;
   CacheStats stats;
   for (size_t i = 0; i < count; ++i) {
     stats.*fields[i].member = 1000 + i * 7;  // distinct per field
@@ -256,8 +255,7 @@ TEST(ServerProtocolTest, StatsBodyRejectsMalformedLengths) {
 // knows. A shorter (older-server) body must also decode, zero-filling the
 // rest.
 TEST(ServerProtocolTest, StatsBodyIsForwardAndBackwardCompatible) {
-  size_t count = 0;
-  StatsWireFields(&count);
+  const size_t count = std::size(kCacheStatsFields);
   CacheStats stats;
   stats.requests = 111;
   stats.hits = 222;
@@ -282,16 +280,27 @@ TEST(ServerProtocolTest, StatsBodyIsForwardAndBackwardCompatible) {
   EXPECT_EQ(decoded.misses, 0u);
 }
 
-// The wire schema and the bench JSON schema must stay field-for-field
-// identical — stats_report.py and bench_compare.py consume both.
-TEST(ServerProtocolTest, WireFieldsMatchBenchJsonFields) {
-  size_t wire_count = 0;
-  const StatsWireField* wire = StatsWireFields(&wire_count);
-  const std::vector<BenchStatsField>& bench = BenchStatsFields();
-  ASSERT_EQ(wire_count, bench.size());
-  for (size_t i = 0; i < wire_count; ++i) {
-    EXPECT_STREQ(wire[i].key, bench[i].key) << i;
-    EXPECT_EQ(wire[i].member, bench[i].member) << wire[i].key;
+// The STATS body is positional: an older client reads its prefix of these
+// counters, and the bench JSON "stats" block, stats_report.py and
+// bench_compare.py use the same keys. The order is pinned here as a
+// literal, so a reordered or renamed field fails this test instead of
+// silently shifting every counter an old client decodes.
+TEST(ServerProtocolTest, StatsWireOrderIsPinned) {
+  const std::vector<std::string> wire_order = {
+      "requests",          "hits",
+      "misses",            "inserts",
+      "evictions",         "promotions",
+      "demotions",         "ghost_hits",
+      "lock_acquisitions", "lock_failures",
+      "buffer_drops",      "cross_shard_demotions",
+      "drain_batch_le8",   "drain_batch_le64",
+      "drain_batch_gt64",  "size",
+      "probation_size",    "main_size",
+      "ghost_size",        "lock_waits",
+  };
+  ASSERT_EQ(std::size(kCacheStatsFields), wire_order.size());
+  for (size_t i = 0; i < wire_order.size(); ++i) {
+    EXPECT_EQ(kCacheStatsFields[i].key, wire_order[i]) << i;
   }
 }
 

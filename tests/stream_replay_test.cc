@@ -95,7 +95,7 @@ TEST_P(StreamChunkTest, StreamedEqualsMaterializedAcrossPolicies) {
   }
   ASSERT_GE(cells.size(), 16u);
   const std::vector<SimResult> expected =
-      BatchReplayTrace(dense, cells, {}, &trace.requests);
+      BatchReplayTrace(dense, cells, &trace.requests);
 
   StreamReplayOptions options;
   options.chunk_size = GetParam();
@@ -127,7 +127,7 @@ TEST(StreamReplayTest, BudgetedMapperDoesNotChangeResults) {
                                       {"qd-lp-fifo", 200}, {"random", 200},
                                       {"lru", 2000},      {"s3fifo", 2000}};
   const std::vector<SimResult> expected =
-      BatchReplayTrace(dense, cells, {}, &trace.requests);
+      BatchReplayTrace(dense, cells, &trace.requests);
 
   StreamReplayOptions options;
   options.mem_budget_bytes = 64 << 10;  // small enough to force spills
@@ -163,6 +163,76 @@ TEST(StreamReplayTest, DenseUniverseHintKeepsResultsIdentical) {
 
   for (size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(without.cells[i].hits, with.cells[i].hits);
+  }
+}
+
+// Without a dense_universe hint every remap-invariant policy runs on the
+// flat-index + dense-ids lane; results must match the hinted run, which
+// puts the same cells on the dense-index lane.
+TEST(StreamReplayTest, FlatIndexLaneMatchesDenseIndexLane) {
+  ZipfTraceConfig config;
+  config.num_requests = 30000 / kScale;
+  config.num_objects = 4000 / kScale;
+  const Trace trace = GenerateZipf(config);
+  std::vector<BatchCellSpec> cells;
+  for (const char* policy :
+       {"fifo", "lru", "fifo-reinsertion", "clock2", "clock3", "sieve",
+        "s3fifo", "qd-lp-fifo", "arc", "arc-slow", "arc-fixed", "lirs",
+        "qd-arc", "qd-lirs", "qd-s3fifo"}) {
+    ASSERT_TRUE(HasDenseVariant(policy)) << policy;
+    cells.push_back(BatchCellSpec{policy, 400 / kScale});
+  }
+  StreamReplayOptions flat_lane;
+  VectorTraceSource flat_source(trace.requests);
+  const StreamReplayResult with_flat_index =
+      StreamReplayTrace(flat_source, trace.name, cells, flat_lane);
+  ASSERT_TRUE(with_flat_index.ok);
+  StreamReplayOptions dense_lane;
+  dense_lane.dense_universe = trace.num_objects;
+  VectorTraceSource dense_source(trace.requests);
+  const StreamReplayResult with_dense_index =
+      StreamReplayTrace(dense_source, trace.name, cells, dense_lane);
+  ASSERT_TRUE(with_dense_index.ok);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(with_dense_index.cells[i].hits, with_flat_index.cells[i].hits)
+        << cells[i].policy;
+  }
+}
+
+// Chunk sizes of 1, 7 and longer than the trace exercise the tail-chunk
+// handling on the dense-index lane (qd-lp-fifo) and the original-id lane
+// (lhd). Belady cannot stream, so it takes the batched engine's
+// original-id lane, over a trace that ends in a partial batch, against
+// its own per-cell replay.
+TEST(StreamReplayTest, ChunkSizeDoesNotChangeResults) {
+  HighReuseKvConfig config;
+  config.num_requests = 10000 / kScale;
+  config.num_objects = 900 / kScale;
+  const Trace trace = GenerateHighReuseKv(config);
+  const DenseTrace dense = DensifyTrace(trace);
+  const size_t cache_size = 90 / kScale;
+  const std::vector<BatchCellSpec> cells = {{"qd-lp-fifo", cache_size},
+                                            {"lhd", cache_size},
+                                            {"belady", cache_size}};
+  const std::vector<SimResult> reference =
+      BatchReplayTrace(dense, cells, &trace.requests);
+  auto belady = MakePolicyOrDie("belady", cache_size, &trace.requests);
+  EXPECT_EQ(reference[2].hits, ReplayTrace(*belady, trace).hits);
+
+  const std::vector<BatchCellSpec> streamable(cells.begin(), cells.end() - 1);
+  for (const size_t chunk_size :
+       {size_t{1}, size_t{7}, trace.requests.size() + 1}) {
+    StreamReplayOptions options;
+    options.chunk_size = chunk_size;
+    options.dense_universe = trace.num_objects;
+    VectorTraceSource source(trace.requests);
+    const StreamReplayResult streamed =
+        StreamReplayTrace(source, trace.name, streamable, options);
+    ASSERT_TRUE(streamed.ok);
+    for (size_t i = 0; i < streamable.size(); ++i) {
+      EXPECT_EQ(streamed.cells[i].hits, reference[i].hits)
+          << cells[i].policy << " chunk " << chunk_size;
+    }
   }
 }
 
