@@ -192,7 +192,7 @@ BENCHMARK(BM_ConcurrentQdLpFifoSkew)
 // low skew, so most Gets take the eviction path — with one eviction domain
 // vs eight, at the highest measured thread count. With shards:1 every miss
 // fights for the single mutex; shards:8 spreads the same misses across
-// eight domains (plus the helping pass), which is exactly where the
+// eight domains, which is exactly where the
 // sharded design must win.
 constexpr size_t kMissHeavyCapacity = 1 << 14;
 void BM_ConcurrentQdLpFifoMissHeavy(benchmark::State& state) {

@@ -5,8 +5,9 @@
 // exclusive lock, so FIFO-family caches are faster and scale with cores.
 // These implementations make that concrete:
 //
-//  * ShardedLruCache      — N LRU shards, each with its own mutex (the
-//                           common mitigation), in sharded_lru.h
+//  * ShardedLruCache      — N shards, each one sequential LruPolicy behind
+//                           its own mutex (the common mitigation), in
+//                           sharded_lru.h
 //  * GlobalLockLruCache   — the same LRU with one shard: one mutex around
 //                           it (the naive memcached-style design the paper
 //                           argues against)
@@ -25,8 +26,8 @@
 // Get/Admit/Remove, and DomainCache overrides Get/Set to move bytes when
 // it owns a value store. Telemetry in the lock-free caches is kept in
 // striped, cache-line-exclusive relaxed atomics
-// (src/obs/concurrent_counters.h); lock-based caches count under the locks
-// they already hold. There is deliberately NO AccessEventSink on this
+// (src/obs/concurrent_counters.h); the LRU caches' LruPolicy shards count
+// under the shard locks they already hold. There is deliberately NO AccessEventSink on this
 // hierarchy: a virtual call per event would poison the lock-free hit path
 // the paper's throughput argument rests on — Stats() snapshots are the
 // concurrent observability surface.

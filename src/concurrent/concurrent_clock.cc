@@ -83,7 +83,7 @@ size_t ClockRegions::EvictOne(size_t s) {
       }
       continue;
     }
-    core_.Evict(s, slot.id, CellOf(static_cast<uint32_t>(current)));
+    core_.Evict(slot.id, CellOf(static_cast<uint32_t>(current)));
     slot.occupied = false;
     --state.count;
     return current;

@@ -122,7 +122,7 @@ void QdlpRegions::EvictFromProbation(size_t s) {
     main_.Insert(s, victim, cell);
   } else {
     // Quick demotion: one lap through the small FIFO was its only chance.
-    core_.Evict(s, victim, cell);
+    core_.Evict(victim, cell);
     core_.ghosts[s].Insert(victim);
     core_.counters.Add(ConcurrentStatsCounters::kDemotions);
   }

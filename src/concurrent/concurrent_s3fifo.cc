@@ -117,7 +117,7 @@ void S3FifoRegions::EvictSmall(size_t s) {
     core_.counters.Add(ConcurrentStatsCounters::kPromotions);
     return;
   }
-  core_.Evict(s, node.id, slot);
+  core_.Evict(node.id, slot);
   core_.ghosts[s].Insert(node.id);
   FreeSlot(s, slot);
   core_.counters.Add(ConcurrentStatsCounters::kDemotions);
@@ -135,7 +135,7 @@ void S3FifoRegions::EvictMain(size_t s) {
       core_.counters.Add(ConcurrentStatsCounters::kPromotions);
       continue;
     }
-    core_.Evict(s, node.id, slot);
+    core_.Evict(node.id, slot);
     FreeSlot(s, slot);
     return;
   }

@@ -13,12 +13,12 @@
 //     location is a 32-bit value whose meaning only the Regions knows;
 //   * the sharded eviction domains (eviction_domains.h) and the drain
 //     protocol over them: a missing Get() try-locks its id's home domain,
-//     drains that domain's buffered misses and admits inline, then makes
-//     one helping pass over backlogged foreign domains; on try-lock
+//     drains that domain's buffered misses and admits inline; on try-lock
 //     failure it buffers the id (or drops it if the buffers are full) and
-//     returns without blocking. Admit/Remove/SetValue take the home lock
-//     blocking (counting a lock_wait when a try_lock finds it held) and
-//     drain it first;
+//     returns without blocking. A domain's buffered misses are drained
+//     only by the next holder of that domain's lock. Admit/Remove/SetValue
+//     take the home lock blocking (counting a lock_wait when a try_lock
+//     finds it held) and drain it first;
 //   * the drain's claim on a domain's `pending` count: a buffering Get
 //     bumps it (release) only after its TryPush succeeded, and a drain
 //     first claims the whole count with exchange(0, acquire), returning
@@ -77,7 +77,6 @@
 #include "src/obs/concurrent_counters.h"
 #include "src/store/slab_store.h"
 #include "src/util/check.h"
-#include "src/util/thread_ordinal.h"
 
 namespace qdlp {
 
@@ -126,19 +125,16 @@ struct DomainCore {
     }
   }
 
-  // An object leaves cache space from shard s (eviction or removal). The
-  // index entry goes first, so readers stop finding the id before its slot
-  // can be recycled; a reader that already fetched the location at worst
-  // touches the next occupant's metadata once — benign.
-  void Evict(size_t s, ObjectId id, uint32_t cell) {
+  // An object leaves cache space (eviction or removal), under its shard's
+  // mutex. The index entry goes first, so readers stop finding the id
+  // before its slot can be recycled; a reader that already fetched the
+  // location at worst touches the next occupant's metadata once — benign.
+  void Evict(ObjectId id, uint32_t cell) {
     index.Erase(id);
     if (store) {
       store->FreeChunk(store->ClearCell(cell));
     }
     counters.Add(ConcurrentStatsCounters::kEvictions);
-    if (domains.shard(s).helper_drain) {
-      counters.Add(ConcurrentStatsCounters::kCrossShardDemotions);
-    }
   }
 
   // For CheckShard: a resident of shard s at `loc` hashes to s and is
@@ -295,11 +291,8 @@ class DomainCache : public ConcurrentCache {
   bool AppendValue(ObjectId id, uint64_t now_s, std::string* out);
   // A counted Get/Admit miss under the freshly taken home-domain lock.
   bool MissLocked(size_t s, ObjectId id);
-  // Drains shard s's insert buffers; `helping` marks a cross-shard drain.
-  void DrainShardLocked(size_t s, bool helping);
-  // One thread-ordinal-affine pass over the other shards: try-lock and
-  // drain any domain whose buffered backlog crossed the help threshold.
-  void HelpDrainOthers(size_t miss_shard);
+  // Drains shard s's insert buffers.
+  void DrainShardLocked(size_t s);
 
   DomainCore core_;
   Regions regions_;
@@ -319,13 +312,8 @@ bool DomainCache<Regions>::Get(ObjectId id) {
   const size_t s = core_.domains.ShardOf(id);
   EvictionDomain& domain = core_.domains.shard(s);
   if (domain.mu.try_lock()) {
-    std::unique_lock<std::mutex> lock(domain.mu, std::adopt_lock);
-    const bool hit = MissLocked(s, id);
-    lock.unlock();
-    // With the home domain settled (and its lock released), one pass over
-    // backlogged foreign domains; no-op when num_shards == 1.
-    HelpDrainOthers(s);
-    return hit;
+    const std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
+    return MissLocked(s, id);
   }
   // Contended: buffer the id for the current holder to admit.
   core_.counters.Add(Counters::kLockFailures);
@@ -374,7 +362,7 @@ bool DomainCache<Regions>::Remove(ObjectId id) {
   }
   // Counts as an eviction (the object left cache space); no ghost trace —
   // it was invalidated, it did not age out.
-  core_.Evict(s, id, regions_.CellOf(loc));
+  core_.Evict(id, regions_.CellOf(loc));
   regions_.Unlink(s, loc);
   return true;
 }
@@ -531,7 +519,7 @@ bool DomainCache<Regions>::InsertLocked(size_t s, ObjectId id) {
 template <typename Regions>
 void DomainCache<Regions>::SettleLocked(size_t s) {
   core_.counters.Add(Counters::kLockAcquisitions);
-  DrainShardLocked(s, /*helping=*/false);
+  DrainShardLocked(s);
 }
 
 template <typename Regions>
@@ -543,7 +531,7 @@ bool DomainCache<Regions>::MissLocked(size_t s, ObjectId id) {
 }
 
 template <typename Regions>
-void DomainCache<Regions>::DrainShardLocked(size_t s, bool helping) {
+void DomainCache<Regions>::DrainShardLocked(size_t s) {
   EvictionDomain& domain = core_.domains.shard(s);
   // Claim before popping: an id pushed after this exchange brings its own
   // increment for a later drain, and one whose increment this claims was
@@ -551,39 +539,8 @@ void DomainCache<Regions>::DrainShardLocked(size_t s, bool helping) {
   if (domain.pending.exchange(0, std::memory_order_acquire) == 0) {
     return;
   }
-  domain.helper_drain = helping;
-  const size_t drained =
-      domain.buffers.Drain([&](uint64_t id) { InsertLocked(s, id); });
-  domain.helper_drain = false;
-  core_.counters.AddDrainBatch(drained);
-}
-
-template <typename Regions>
-void DomainCache<Regions>::HelpDrainOthers(size_t miss_shard) {
-  const size_t shards = core_.domains.num_shards();
-  if (shards == 1) {
-    return;
-  }
-  // Thread-ordinal affinity: each thread starts its scan at "its" shard so
-  // concurrent helpers fan out instead of convoying on the same backlog.
-  const size_t start = ThreadOrdinal() & (shards - 1);
-  for (size_t i = 0; i < shards; ++i) {
-    const size_t t = (start + i) & (shards - 1);
-    if (t == miss_shard) {
-      continue;
-    }
-    EvictionDomain& domain = core_.domains.shard(t);
-    if (domain.pending.load(std::memory_order_relaxed) <
-        core_.domains.help_threshold()) {
-      continue;
-    }
-    if (!domain.mu.try_lock()) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
-    core_.counters.Add(Counters::kLockAcquisitions);
-    DrainShardLocked(t, /*helping=*/true);
-  }
+  core_.counters.AddDrainBatch(
+      domain.buffers.Drain([&](uint64_t id) { InsertLocked(s, id); }));
 }
 
 template <typename Regions>
@@ -608,7 +565,7 @@ void DomainCache<Regions>::CheckInvariants() {
   for (size_t s = 0; s < shards; ++s) {
     EvictionDomain& domain = core_.domains.shard(s);
     domain.mu.lock();
-    DrainShardLocked(s, /*helping=*/false);
+    DrainShardLocked(s);
     // Quiescent, every buffered id's increment has landed, so the drain
     // left nothing behind: a stranded admission would sit here forever.
     QDLP_CHECK(domain.buffers.empty());

@@ -33,21 +33,16 @@
 //   * A drain claims `pending` (exchange to 0) before popping and skips
 //     the rings when it claimed nothing, so every buffered id is popped
 //     by the drain that claims its increment, or an earlier one.
-//   * After a successful inline miss, the thread makes one
-//     thread-ordinal-affine helping pass: starting from its own ordinal's
-//     shard, it try-locks any other domain whose `pending` exceeds
-//     help_threshold() and drains it. Evictions performed during such a
-//     helper drain are the cross-shard demotions surfaced in CacheStats.
+//   * Buffered misses are drained only by the next holder of their home
+//     domain's lock; no thread drains another domain on its behalf.
 //
-// With S == 1 (the default everywhere) there is exactly one domain, the
-// helping pass has nothing to scan, and a single-threaded caller's
-// try_lock always succeeds — behavior is bit-identical to the pre-sharded
-// single-mutex caches.
+// With S == 1 (the default everywhere) there is exactly one domain, and a
+// single-threaded caller's try_lock always succeeds — behavior is
+// bit-identical to the pre-sharded single-mutex caches.
 
 #ifndef QDLP_SRC_CONCURRENT_EVICTION_DOMAINS_H_
 #define QDLP_SRC_CONCURRENT_EVICTION_DOMAINS_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -62,21 +57,17 @@
 namespace qdlp {
 
 // One eviction domain. The mutex guards the owning cache's per-shard queue
-// state and this struct's `helper_drain` flag; `pending` is an approximate
-// relaxed counter of ids sitting in `buffers`.
+// state; `pending` is an approximate relaxed counter of ids sitting in
+// `buffers`.
 struct EvictionDomain {
   // Mutable so const observers (Stats) can lock for a coherent snapshot.
   alignas(64) mutable std::mutex mu;
-  // True while the current lock holder is draining on behalf of another
-  // shard's miss (the helping pass): evictions under this flag are counted
-  // as cross-shard demotions. Guarded by mu.
-  bool helper_drain = false;
   // This shard's capacity share and the first slot of its slab region.
   size_t capacity = 0;
   size_t base = 0;
   // Buffered misses not yet claimed by a drain: a push bumps it after the
   // id is in the rings, a drain claims it all (exchange to 0) before
-  // popping. It gates the drain itself and steers the helping pass.
+  // popping, so a drain with nothing claimed skips the rings.
   std::atomic<size_t> pending{0};
   InsertBuffers buffers;
 
@@ -112,7 +103,6 @@ class EvictionDomains {
     const size_t base_share = capacity / shards;
     size_t remainder = capacity % shards;
     size_t next_base = 0;
-    size_t buffer_slots = 0;
     for (size_t i = 0; i < shards; ++i) {
       auto domain = std::make_unique<EvictionDomain>(rings, ring_capacity);
       domain->capacity = base_share + (remainder > 0 ? 1 : 0);
@@ -121,21 +111,13 @@ class EvictionDomains {
       }
       domain->base = next_base;
       next_base += domain->capacity;
-      buffer_slots += rings * ring_capacity;
       shards_.push_back(std::move(domain));
     }
     QDLP_CHECK(next_base == capacity);
-    // A helper steps in once a shard has a meaningful batch queued: a
-    // quarter of its buffer space, never more than its capacity share (a
-    // tiny shard overflows its share quickly), never less than one.
-    const size_t per_shard_slots = buffer_slots / shards;
-    help_threshold_ = std::max<size_t>(
-        1, std::min(shards_[0]->capacity, per_shard_slots / 4));
   }
 
   size_t num_shards() const { return shards_.size(); }
   size_t capacity() const { return capacity_; }
-  size_t help_threshold() const { return help_threshold_; }
 
   // Same bit extraction as the striped index's stripe choice: shard s owns
   // the disjoint stripe set {t : t & mask_ == s} whenever the index has at
@@ -162,7 +144,6 @@ class EvictionDomains {
 
   const size_t capacity_;
   size_t mask_ = 0;
-  size_t help_threshold_ = 1;
   std::vector<std::unique_ptr<EvictionDomain>> shards_;
 };
 

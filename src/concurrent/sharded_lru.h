@@ -3,23 +3,30 @@
 // only 1/N threads collide per shard. With one shard it is LRU behind a
 // single global mutex (GlobalLockLruCache below), the baseline whose
 // hit-path lock contention the paper's FIFO argument targets.
+//
+// Each shard is a mutex around one sequential LruPolicy (the slab LRU the
+// simulator replays), so the concurrent LRU and the simulated one are the
+// same code: Get is Access, Remove is Remove, and the counters are the
+// policy's own.
 
 #ifndef QDLP_SRC_CONCURRENT_SHARDED_LRU_H_
 #define QDLP_SRC_CONCURRENT_SHARDED_LRU_H_
 
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
+#include "src/policies/lru.h"
 
 namespace qdlp {
 
 class ShardedLruCache : public ConcurrentCache {
  public:
+  // Ids route to shard SplitMix64(id) % N. N is clamped to the capacity,
+  // and the first capacity % N shards get one slot more than the rest, so
+  // the shares sum to exactly `capacity`.
   ShardedLruCache(size_t capacity, size_t num_shards = 16);
 
   bool Get(ObjectId id) override;
@@ -31,28 +38,27 @@ class ShardedLruCache : public ConcurrentCache {
   // Removal locks only the owning shard, like Get().
   bool Remove(ObjectId id) override;
 
-  // Telemetry is per-shard counters guarded by the shard locks the
-  // operations already hold (no cross-shard contention added); Stats()
-  // sums them shard by shard, so cross-counter relations are exact only at
-  // quiescent points.
+  // The shards' policy counters, summed shard by shard under each shard's
+  // lock (no cross-shard contention added), so cross-counter relations are
+  // exact only at quiescent points.
   CacheStats Stats() const override;
 
-  // Per-shard list/index agreement and capacity accounting.
+  // Each shard's LruPolicy invariants and counter identities, every
+  // resident on the shard its id routes to, and shares summing to the
+  // capacity.
   void CheckInvariants() override;
 
+  // The shards' measured slab and index bytes.
   size_t ApproxMetadataBytes() const override;
 
  private:
   struct Shard {
+    explicit Shard(size_t capacity) : lru(capacity) {}
     std::mutex mu;
-    size_t capacity = 0;
-    std::list<ObjectId> mru_list;
-    std::unordered_map<ObjectId, std::list<ObjectId>::iterator> index;
-    CacheStats counters;  // flow counters only; guarded by mu
+    LruPolicy lru;  // guarded by mu
   };
 
-  Shard& ShardFor(ObjectId id);
-  const Shard& ShardFor(ObjectId id) const;
+  Shard& ShardFor(ObjectId id) { return *shards_[ShardIndex(id)]; }
   size_t ShardIndex(ObjectId id) const;
 
   const size_t capacity_;

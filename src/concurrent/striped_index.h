@@ -11,7 +11,7 @@
 //
 // Concurrency contract:
 //  * Readers (Find) are wait-free in the common case and never block.
-//  * Mutations (Insert/Update/Erase) must be serialized by the caller
+//  * Mutations (Insert/Erase) must be serialized by the caller
 //    PER STRIPE. A stripe's writer bookkeeping (size/used/tombstones and
 //    the rebuild machinery) is plain data guarded by whatever lock the
 //    caller wraps around that stripe's mutations. Two valid shapes exist
@@ -43,7 +43,7 @@
 //
 // Keys are ObjectIds; the two top values (~0 and ~0-1) are reserved as
 // empty/tombstone sentinels. The read-side entry points (Find/Contains/
-// Erase/Update) treat a reserved key as simply absent — a sentinel probe
+// Erase) treat a reserved key as simply absent — a sentinel probe
 // must never match a physical empty/tombstone slot, which would hand back
 // a garbage location and corrupt the caller's bookkeeping. Insert hard-
 // checks instead: admitting a reserved key is a caller bug (the server
@@ -228,16 +228,6 @@ class StripedAtomicIndex {
     }
   }
 
-  // Writer-side. Returns false if the key is absent.
-  bool Update(ObjectId key, uint32_t value) {
-    Slot* slot = FindSlotMutable(key);
-    if (slot == nullptr) {
-      return false;
-    }
-    slot->value.store(value, std::memory_order_release);
-    return true;
-  }
-
   // Writer-side. Returns true if the key was present and is now removed.
   // Reserved keys are never present: erasing one is a no-op, not a
   // tombstoning of whatever empty slot the probe happens to hit first.
@@ -401,28 +391,6 @@ class StripedAtomicIndex {
   static constexpr size_t kMaxLoadDen = 10;
   static constexpr size_t kSameSizeNum = 5;
   static constexpr size_t kSameSizeDen = 9;
-
-  Slot* FindSlotMutable(ObjectId key) {
-    if (key >= kTombstoneKey) {
-      return nullptr;  // reserved keys are never present
-    }
-    const uint64_t hash = FlatMapHash(key);
-    Stripe& stripe = stripes_[(hash >> 32) & stripe_mask_];
-    Slot* slots = stripe.slots.load(std::memory_order_relaxed);
-    const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);
-    size_t index = hash & mask;
-    while (true) {
-      const uint64_t slot_key =
-          slots[index].key.load(std::memory_order_relaxed);
-      if (slot_key == key) {
-        return &slots[index];
-      }
-      if (slot_key == kEmptyKey) {
-        return nullptr;
-      }
-      index = (index + 1) & mask;
-    }
-  }
 
   void MaybeRebuild(Stripe& stripe) {
     const uint64_t mask = stripe.mask.load(std::memory_order_relaxed);

@@ -76,8 +76,7 @@ std::unique_ptr<Cache> MakeCache(const CacheConfig& config) {
   }
   if (config.policy == "concurrent-clock") {
     return std::make_unique<ConcurrentClockCache>(
-        config.capacity, config.clock_bits, config.num_stripes,
-        config.num_shards);
+        config.capacity, /*bits=*/2, config.num_stripes, config.num_shards);
   }
   if (config.policy == "concurrent-s3fifo") {
     return std::make_unique<ConcurrentS3FifoCache>(

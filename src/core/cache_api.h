@@ -27,7 +27,6 @@ struct CacheConfig {
   // Concurrent engines only.
   size_t num_stripes = 16;  // striped-index width
   size_t num_shards = 1;    // eviction domains
-  int clock_bits = 2;       // concurrent-clock reference-counter width
 
   // Value serving (requires policy == "concurrent-qdlp-fifo"): nonzero
   // gives the engine a SlabStore of this many bytes.

@@ -40,8 +40,6 @@ struct CacheStats {
   uint64_t lock_waits = 0;         // blocking acquisitions (Admit, Remove,
                                    //   SetValue) that found the lock held
   uint64_t buffer_drops = 0;       // ring-full drops: admissions abandoned
-  uint64_t cross_shard_demotions = 0;  // evictions done by a helping
-                                       //   thread draining a foreign shard
   // Drain batch size histogram: non-empty buffer drains bucketed by how
   // many buffered misses one lock acquisition amortized.
   uint64_t drain_batch_le8 = 0;   // 1..8 drained
@@ -92,8 +90,12 @@ struct CacheStatsField {
 // Every CacheStats counter, the one table the STATS wire body, the bench
 // JSON "stats" block (writer and google-benchmark counter bridge) and
 // DeltaSince walk. The order is the wire order: the original fields in
-// declaration order, then later additions in the order they were added,
-// so an older decoder keeps reading its prefix. Append, never reorder.
+// declaration order, then later additions in the order they were added.
+// A new field is appended, so a decoder built against an older table keeps
+// reading its prefix. Removing a field shifts every field after it; that
+// is a one-time wire change, safe only because every decoder of the body
+// is in this repo and reads it through this table (DecodeStatsBody in
+// src/server/protocol.h, which the client and perfbench use).
 inline constexpr CacheStatsField kCacheStatsFields[] = {
     {"requests", &CacheStats::requests, true},
     {"hits", &CacheStats::hits, true},
@@ -106,7 +108,6 @@ inline constexpr CacheStatsField kCacheStatsFields[] = {
     {"lock_acquisitions", &CacheStats::lock_acquisitions, true},
     {"lock_failures", &CacheStats::lock_failures, true},
     {"buffer_drops", &CacheStats::buffer_drops, true},
-    {"cross_shard_demotions", &CacheStats::cross_shard_demotions, true},
     {"drain_batch_le8", &CacheStats::drain_batch_le8, true},
     {"drain_batch_le64", &CacheStats::drain_batch_le64, true},
     {"drain_batch_gt64", &CacheStats::drain_batch_gt64, true},

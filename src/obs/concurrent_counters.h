@@ -42,7 +42,6 @@ class ConcurrentStatsCounters {
     kLockFailures,
     kLockWaits,
     kBufferDrops,
-    kCrossShardDemotions,
     kDrainBatchLe8,
     kDrainBatchLe64,
     kDrainBatchGt64,
@@ -85,8 +84,6 @@ class ConcurrentStatsCounters {
       stats.lock_waits += cell.v[kLockWaits].load(std::memory_order_relaxed);
       stats.buffer_drops +=
           cell.v[kBufferDrops].load(std::memory_order_relaxed);
-      stats.cross_shard_demotions +=
-          cell.v[kCrossShardDemotions].load(std::memory_order_relaxed);
       stats.drain_batch_le8 +=
           cell.v[kDrainBatchLe8].load(std::memory_order_relaxed);
       stats.drain_batch_le64 +=
@@ -115,7 +112,7 @@ class ConcurrentStatsCounters {
   static constexpr size_t kCells = 64;
   static_assert((kCells & (kCells - 1)) == 0, "kCells must be a power of 2");
 
-  // Two cache lines per cell since the contention counters joined (15 x 8
+  // Two cache lines per cell since the contention counters joined (14 x 8
   // bytes); a cell is still exclusively owned by one thread ordinal, so
   // the no-ping-pong property is what matters, not the line count.
   struct alignas(128) Cell {

@@ -65,6 +65,12 @@ class BasicLruPolicy : public EvictionPolicy {
     return mru_list_.MemoryBytes() + index_.MemoryBytes();
   }
 
+  // Calls fn(id) for every resident, most recent first.
+  template <typename Fn>
+  void ForEachResident(Fn&& fn) const {
+    mru_list_.ForEach([&](uint32_t, ObjectId id) { fn(id); });
+  }
+
  protected:
   void FillOccupancy(CacheStats& stats) const override {
     // promotions == hits (eager promotion); see the OnAccess hit path.

@@ -292,11 +292,11 @@ TEST(ServerProtocolTest, StatsWireOrderIsPinned) {
       "evictions",         "promotions",
       "demotions",         "ghost_hits",
       "lock_acquisitions", "lock_failures",
-      "buffer_drops",      "cross_shard_demotions",
-      "drain_batch_le8",   "drain_batch_le64",
-      "drain_batch_gt64",  "size",
-      "probation_size",    "main_size",
-      "ghost_size",        "lock_waits",
+      "buffer_drops",      "drain_batch_le8",
+      "drain_batch_le64",  "drain_batch_gt64",
+      "size",              "probation_size",
+      "main_size",         "ghost_size",
+      "lock_waits",
   };
   ASSERT_EQ(std::size(kCacheStatsFields), wire_order.size());
   for (size_t i = 0; i < wire_order.size(); ++i) {

@@ -3,9 +3,11 @@
 // single-threaded replay partitioned by ShardOf(id) must match S
 // independent sequential reference models sized to the shards' capacity
 // shares — the sharded generalization of the S == 1 oracle differential
-// tests. Plus: capacity-share arithmetic (remainder distribution, tiny-cache
-// clamping) and the quiescent contention-counter identities that pin the
-// telemetry's meaning (docs/OBSERVABILITY.md).
+// tests. ShardedLruCache, whose shards are hash partitions too, is checked
+// the same way against per-shard LRU references. Plus: capacity-share
+// arithmetic (remainder distribution, tiny-cache clamping) and the
+// quiescent contention-counter identities that pin the telemetry's
+// meaning (docs/OBSERVABILITY.md).
 
 #include <gtest/gtest.h>
 
@@ -19,8 +21,10 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
+#include "src/concurrent/sharded_lru.h"
 #include "src/obs/cache_stats.h"
 #include "src/trace/generators.h"
+#include "src/util/random.h"
 #include "tests/oracle/reference_models.h"
 
 namespace qdlp {
@@ -46,7 +50,7 @@ size_t QdLpProbationShare(size_t share) {
 }
 
 // Quiescent single-threaded identities: the miss path's try_lock always
-// succeeds (nothing ever buffers, drops, or needs help), so the contention
+// succeeds (nothing ever buffers or drops), so the contention
 // counters must read as pure bookkeeping — one acquisition per miss and
 // zeros everywhere else. These are the assertions that make buffer_drops
 // and friends trustworthy when a concurrent run reports them nonzero.
@@ -55,7 +59,6 @@ void ExpectQuiescentContentionCounters(const CacheStats& stats,
   EXPECT_EQ(stats.lock_acquisitions, stats.misses) << label;
   EXPECT_EQ(stats.lock_failures, 0u) << label;
   EXPECT_EQ(stats.buffer_drops, 0u) << label;
-  EXPECT_EQ(stats.cross_shard_demotions, 0u) << label;
   EXPECT_EQ(stats.drain_batch_le8, 0u) << label;
   EXPECT_EQ(stats.drain_batch_le64, 0u) << label;
   EXPECT_EQ(stats.drain_batch_gt64, 0u) << label;
@@ -136,6 +139,48 @@ TEST_P(ShardSweepTest, QdLpFifoMatchesPerShardReferences) {
   }
   const Trace trace = MakeTrace(7300 + requested_shards);
   ExpectMatchesPerShardOracles(cache, oracles, trace, "qd-lp-fifo");
+}
+
+// ShardedLruCache takes any shard count and routes by SplitMix64(id) % N,
+// with remainder shares (the first capacity % N shards get one slot more).
+// Its one-shard form is pinned by the oracle differential, so the
+// 1-shard instance runs 3 shards instead: 241 over 2, 3 and 8 shards
+// leaves a remainder every time.
+TEST_P(ShardSweepTest, ShardedLruMatchesPerShardReferences) {
+  const size_t shards = GetParam() == 1 ? 3 : GetParam();
+  constexpr size_t kCapacity = 241;
+  ShardedLruCache cache(kCapacity, shards);
+  std::vector<oracle::RefLru> oracles;
+  for (size_t s = 0; s < shards; ++s) {
+    oracles.emplace_back(kCapacity / shards +
+                         (s < kCapacity % shards ? 1 : 0));
+  }
+  const Trace trace = MakeTrace(7400 + shards);
+  uint64_t hits = 0;
+  for (size_t i = 0; i < trace.requests.size(); ++i) {
+    const ObjectId id = trace.requests[i];
+    const size_t s = SplitMix64(id) % shards;
+    const bool hit = oracles[s].Access(id);
+    ASSERT_EQ(cache.Get(id), hit)
+        << "diverged at request " << i << " (shard " << s << ")";
+    hits += hit ? 1 : 0;
+    if (i % 4999 == 0) {
+      cache.CheckInvariants();
+    }
+  }
+  cache.CheckInvariants();
+  size_t resident = 0;
+  for (const oracle::RefLru& oracle : oracles) {
+    resident += oracle.size();
+  }
+  // LRU admits every miss, evicts only when a full shard admits, and
+  // promotes on every hit.
+  const uint64_t misses = trace.requests.size() - hits;
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.size, resident);
+  EXPECT_EQ(stats.inserts, misses);
+  EXPECT_EQ(stats.evictions, misses - resident);
+  EXPECT_EQ(stats.promotions, hits);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardSweepTest,

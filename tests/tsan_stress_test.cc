@@ -129,9 +129,9 @@ TEST(TsanStressTest, ConcurrentQdLpFifo) {
 }
 
 // The sharded miss paths under the same hammer: misses now race across
-// four eviction domains (home-shard try_lock, MPSC buffering, the
-// cross-shard helping pass), with the Stats() reader storm concurrently
-// summing per-shard occupancy under the shard mutexes.
+// four eviction domains (home-shard try_lock, MPSC buffering, the drain
+// by the home domain's next lock holder), with the Stats() reader storm
+// concurrently summing per-shard occupancy under the shard mutexes.
 TEST(TsanStressTest, ConcurrentClockSharded) {
   ConcurrentClockCache cache(512, /*bits=*/1, /*num_stripes=*/8,
                              /*num_shards=*/4);
@@ -153,9 +153,9 @@ TEST(TsanStressTest, ConcurrentQdLpFifoSharded) {
 // Worst-case shard contention: every id hashes to one of just TWO domains
 // of a 4-shard cache, so four threads continuously collide on the same two
 // eviction mutexes while a reader storms Stats(). This is the densest
-// exercise of the failure paths — failed try-locks, ring drains, ring-full
-// drops, and the helping pass draining a foreign backlogged shard — and
-// the quiescent counters must still reconcile exactly afterwards.
+// exercise of the failure paths — failed try-locks, ring drains and
+// ring-full drops — and the quiescent counters must still reconcile
+// exactly afterwards.
 TEST(TsanStressTest, TwoHotShardsContention) {
   ConcurrentQdLpFifo cache(512, /*num_stripes=*/8, /*num_shards=*/4);
   ASSERT_EQ(cache.num_shards(), 4u);
@@ -204,8 +204,9 @@ TEST(TsanStressTest, TwoHotShardsContention) {
   EXPECT_EQ(stats.hits, total_hits.load());
   EXPECT_EQ(stats.hits + stats.misses, stats.requests);
   // Every miss either acquired its home-domain lock, or failed and was
-  // buffered or dropped; helper-pass acquisitions can only add to the
-  // left-hand side.
+  // buffered or dropped; an acquisition whose locked re-probe finds the
+  // id already admitted counts a hit, so it can only add to the left-hand
+  // side.
   EXPECT_GE(stats.lock_acquisitions + stats.lock_failures, stats.misses);
   EXPECT_LE(stats.buffer_drops, stats.lock_failures);
 }

@@ -51,13 +51,14 @@ import json
 import os
 import sys
 
-# Keep in sync with kCacheStatsFields in src/obs/cache_stats.h.
+# kCacheStatsFields' keys in src/obs/cache_stats.h, in order; the ctest
+# stats_fields_in_sync (tests/stats_fields.cmake) fails when they differ.
 STATS_FIELDS = (
     "requests", "hits", "misses", "inserts", "evictions", "promotions",
     "demotions", "ghost_hits", "lock_acquisitions", "lock_failures",
-    "buffer_drops", "cross_shard_demotions", "drain_batch_le8",
-    "drain_batch_le64", "drain_batch_gt64", "size", "probation_size",
-    "main_size", "ghost_size", "lock_waits",
+    "buffer_drops", "drain_batch_le8", "drain_batch_le64",
+    "drain_batch_gt64", "size", "probation_size", "main_size",
+    "ghost_size", "lock_waits",
 )
 
 

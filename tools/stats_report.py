@@ -99,11 +99,10 @@ def render_row(name, stats, out, latency=None):
     lock_acq = stats.get("lock_acquisitions", 0)
     lock_fail = stats.get("lock_failures", 0)
     drops = stats.get("buffer_drops", 0)
-    cross = stats.get("cross_shard_demotions", 0)
     le8 = stats.get("drain_batch_le8", 0)
     le64 = stats.get("drain_batch_le64", 0)
     gt64 = stats.get("drain_batch_gt64", 0)
-    if lock_acq or lock_fail or drops or cross:
+    if lock_acq or lock_fail or drops:
         attempts = lock_acq + lock_fail
         out.append(
             f"  contention: lock acquired {fmt_count(lock_acq)}  "
@@ -116,10 +115,6 @@ def render_row(name, stats, out, latency=None):
                 f"  blocking waits: {fmt_count(waits)} "
                 f"({fmt_ratio(waits, lock_acq).strip()} of acquisitions "
                 "queued behind another holder)")
-        if cross:
-            out.append(
-                f"  cross-shard demotions: {fmt_count(cross)} (helper-pass"
-                " evictions on behalf of a contended shard)")
         if le8 or le64 or gt64:
             out.append(
                 f"  drain batches: <=8: {fmt_count(le8)}  "
