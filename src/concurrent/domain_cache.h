@@ -18,7 +18,8 @@
 //     returns without blocking. A domain's buffered misses are drained
 //     only by the next holder of that domain's lock. Admit/Remove/SetValue
 //     take the home lock blocking (counting a lock_wait when a try_lock
-//     finds it held) and drain it first;
+//     finds it held; the wait spins briefly, then parks — DomainMutex)
+//     and drain it first;
 //   * the drain's claim on a domain's `pending` count: a buffering Get
 //     bumps it (release) only after its TryPush succeeded, and a drain
 //     first claims the whole count with exchange(0, acquire), returning
@@ -255,13 +256,13 @@ class DomainCache : public ConcurrentCache {
 
   // The blocking paths' home-domain lock: a try_lock first, and a counted
   // lock_wait before blocking when another thread holds it.
-  std::unique_lock<std::mutex> LockHome(size_t s) {
-    std::mutex& mu = core_.domains.shard(s).mu;
+  std::unique_lock<DomainMutex> LockHome(size_t s) {
+    DomainMutex& mu = core_.domains.shard(s).mu;
     if (!mu.try_lock()) {
       core_.counters.Add(Counters::kLockWaits);
       mu.lock();
     }
-    return std::unique_lock<std::mutex>(mu, std::adopt_lock);
+    return std::unique_lock<DomainMutex>(mu, std::adopt_lock);
   }
   // Admits `id` into shard s unless already resident; returns true on a
   // (raced) hit. Under the shard's mutex.
@@ -312,7 +313,7 @@ bool DomainCache<Regions>::Get(ObjectId id) {
   const size_t s = core_.domains.ShardOf(id);
   EvictionDomain& domain = core_.domains.shard(s);
   if (domain.mu.try_lock()) {
-    const std::lock_guard<std::mutex> lock(domain.mu, std::adopt_lock);
+    const std::lock_guard<DomainMutex> lock(domain.mu, std::adopt_lock);
     return MissLocked(s, id);
   }
   // Contended: buffer the id for the current holder to admit.
@@ -342,7 +343,7 @@ bool DomainCache<Regions>::Admit(ObjectId id) {
     return true;
   }
   const size_t s = core_.domains.ShardOf(id);
-  const std::unique_lock<std::mutex> lock = LockHome(s);
+  const std::unique_lock<DomainMutex> lock = LockHome(s);
   return MissLocked(s, id);
 }
 
@@ -354,7 +355,7 @@ bool DomainCache<Regions>::Remove(ObjectId id) {
   // buffers first keeps a just-buffered admission of this very id from
   // resurrecting it right after we return.
   const size_t s = core_.domains.ShardOf(id);
-  const std::unique_lock<std::mutex> lock = LockHome(s);
+  const std::unique_lock<DomainMutex> lock = LockHome(s);
   SettleLocked(s);
   uint32_t loc;
   if (!core_.index.Find(id, &loc)) {
@@ -476,7 +477,7 @@ typename DomainCache<Regions>::SetResult DomainCache<Regions>::SetValue(
     return SetResult::kTooLarge;
   }
   const size_t s = core_.domains.ShardOf(id);
-  const std::unique_lock<std::mutex> lock = LockHome(s);
+  const std::unique_lock<DomainMutex> lock = LockHome(s);
   SettleLocked(s);
   // Allocate before touching residency: arena-pressure evictions free
   // other objects' chunks, never this uncommitted one — but they may evict
@@ -547,7 +548,7 @@ template <typename Regions>
 CacheStats DomainCache<Regions>::Stats() const {
   CacheStats stats = core_.counters.Snapshot();
   for (size_t s = 0; s < core_.domains.num_shards(); ++s) {
-    std::lock_guard<std::mutex> lock(core_.domains.shard(s).mu);
+    std::lock_guard<DomainMutex> lock(core_.domains.shard(s).mu);
     stats.size += regions_.Resident(s);
     regions_.AddOccupancy(s, &stats);
     if (!core_.ghosts.empty()) {
@@ -608,7 +609,7 @@ size_t DomainCache<Regions>::ApproxMetadataBytes() const {
                  core_.counters.MemoryBytes() + regions_.MemoryBytes();
   // The ghosts grow under their domains' mutexes; read each under its own.
   for (size_t s = 0; s < core_.ghosts.size(); ++s) {
-    std::lock_guard<std::mutex> lock(core_.domains.shard(s).mu);
+    std::lock_guard<DomainMutex> lock(core_.domains.shard(s).mu);
     bytes += core_.ghosts[s].ApproxMetadataBytes();
   }
   if (core_.store) {

@@ -3,10 +3,10 @@
 //
 // DomainCache (domain_cache.h) partitions its Regions' queue storage into
 // S independent domains selected by id hash; a domain owns a slab region,
-// one mutex, one bank of per-thread-ordinal insert buffers (BP-Wrapper,
-// mpsc_ring.h), and an approximate count of buffered misses. Misses to
-// different domains admit/evict fully in parallel; the lock-free
-// striped_index hit path stays global and untouched.
+// one lock (a DomainMutex), one bank of per-thread-ordinal insert
+// buffers (BP-Wrapper, mpsc_ring.h), and an approximate count of buffered
+// misses. Misses to different domains admit/evict fully in parallel; the
+// lock-free striped_index hit path stays global and untouched.
 //
 // Shard selection is deliberately the same bit extraction the striped
 // index uses for stripe selection — (FlatMapHash(id) >> 32) masked by a
@@ -36,9 +36,10 @@
 //   * Buffered misses are drained only by the next holder of their home
 //     domain's lock; no thread drains another domain on its behalf.
 //
-// With S == 1 (the default everywhere) there is exactly one domain, and a
-// single-threaded caller's try_lock always succeeds — behavior is
-// bit-identical to the pre-sharded single-mutex caches.
+// With S == 1 (the default everywhere but qdlpd, which sizes S from its
+// worker count) there is exactly one domain, and a single-threaded
+// caller's try_lock always succeeds — behavior is bit-identical to the
+// pre-sharded single-mutex caches.
 
 #ifndef QDLP_SRC_CONCURRENT_EVICTION_DOMAINS_H_
 #define QDLP_SRC_CONCURRENT_EVICTION_DOMAINS_H_
@@ -56,12 +57,52 @@
 
 namespace qdlp {
 
-// One eviction domain. The mutex guards the owning cache's per-shard queue
+// Spin-wait hint: lets the sibling hyperthread run while a waiter polls.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// The eviction-domain lock: a bounded try_lock/pause spin in front of a
+// parking std::mutex. A domain's critical sections (a SET's allocation,
+// admission and commit) last about a microsecond, while a waiter that
+// parks pays a futex sleep and a wake-up on top of its wait, and its
+// holder pays the wake-up syscall on unlock. Spinning for about one
+// critical section first catches most releases without either. The spin
+// is bounded: a waiter behind a long holder (a preempted thread, a
+// CheckInvariants walk) parks as a std::mutex waiter does, instead of
+// burning the core the holder or another worker needs.
+class DomainMutex {
+ public:
+  bool try_lock() { return mu_.try_lock(); }
+  void lock() {
+    for (int i = 0; i < kSpinTries; ++i) {
+      if (mu_.try_lock()) {
+        return;
+      }
+      CpuRelax();
+    }
+    mu_.lock();
+  }
+  void unlock() { mu_.unlock(); }
+
+ private:
+  // About 2 µs of polling on the 4-vCPU Xeon of docs/PERFORMANCE.md
+  // ("Miss path"): about one web-churn SET's critical section.
+  static constexpr int kSpinTries = 64;
+
+  std::mutex mu_;
+};
+
+// One eviction domain. The lock guards the owning cache's per-shard queue
 // state; `pending` is an approximate relaxed counter of ids sitting in
 // `buffers`.
 struct EvictionDomain {
   // Mutable so const observers (Stats) can lock for a coherent snapshot.
-  alignas(64) mutable std::mutex mu;
+  alignas(64) mutable DomainMutex mu;
   // This shard's capacity share and the first slot of its slab region.
   size_t capacity = 0;
   size_t base = 0;
@@ -77,19 +118,29 @@ struct EvictionDomain {
 
 class EvictionDomains {
  public:
-  // `num_shards` is rounded up to a power of two (capped at kMaxShards,
-  // matching the striped index's stripe cap) and halved until every
-  // shard's capacity share is >= min_capacity_per_shard.
+  // Matches the striped index's 256-stripe cap so shard selection can
+  // always align with a stripe set.
+  static constexpr size_t kMaxShards = 256;
+
+  // A requested shard count as the constructor first rounds it: up to a
+  // power of two, capped at kMaxShards.
+  static size_t RoundShards(size_t num_shards) {
+    size_t shards = 1;
+    while (shards < num_shards && shards < kMaxShards) {
+      shards *= 2;
+    }
+    return shards;
+  }
+
+  // `num_shards` is rounded (RoundShards) and halved until every shard's
+  // capacity share is >= min_capacity_per_shard.
   EvictionDomains(size_t capacity, size_t num_shards,
                   size_t min_capacity_per_shard)
       : capacity_(capacity) {
     QDLP_CHECK(num_shards >= 1);
     QDLP_CHECK(min_capacity_per_shard >= 1);
     QDLP_CHECK(capacity >= min_capacity_per_shard);
-    size_t shards = 1;
-    while (shards < num_shards && shards < kMaxShards) {
-      shards *= 2;
-    }
+    size_t shards = RoundShards(num_shards);
     while (shards > 1 && capacity / shards < min_capacity_per_shard) {
       shards /= 2;
     }
@@ -138,10 +189,6 @@ class EvictionDomains {
   }
 
  private:
-  // Matches the striped index's 256-stripe cap so shard selection can
-  // always align with a stripe set.
-  static constexpr size_t kMaxShards = 256;
-
   const size_t capacity_;
   size_t mask_ = 0;
   std::vector<std::unique_ptr<EvictionDomain>> shards_;

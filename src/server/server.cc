@@ -16,7 +16,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/concurrent/eviction_domains.h"
 #include "src/concurrent/striped_index.h"
+#include "src/store/slab_store.h"
 #include "src/util/check.h"
 
 namespace qdlp {
@@ -215,6 +217,21 @@ struct QdlpdServer::Worker {
     return true;
   }
 };
+
+bool QdlpdOptions::ArenaCoversShards(size_t arena_bytes, size_t num_shards) {
+  return arena_bytes / EvictionDomains::RoundShards(num_shards) >=
+         SlabStore::MinArenaBytesPerDomain(kMaxValueLen);
+}
+
+size_t QdlpdOptions::DefaultShards(size_t num_workers, size_t arena_bytes) {
+  const size_t others = num_workers > 0 ? num_workers - 1 : 0;
+  size_t shards = EvictionDomains::RoundShards(
+      std::min(others, EvictionDomains::kMaxShards) * 8);
+  while (shards > 1 && !ArenaCoversShards(arena_bytes, shards)) {
+    shards /= 2;
+  }
+  return shards;
+}
 
 QdlpdServer::QdlpdServer(const QdlpdOptions& options)
     : options_(options), port_(options.port) {

@@ -76,6 +76,20 @@ struct QdlpdOptions {
     config.max_value_len = kMaxValueLen;
     return config;
   }
+
+  // Whether a value arena of `arena_bytes` split over `num_shards` domains
+  // (rounded as the engine rounds it) gives every domain at least the
+  // SlabStore minimum for kMaxValueLen values, 8 MiB. Below it the store
+  // would raise each domain's arena past its share, reserving more memory
+  // than configured.
+  static bool ArenaCoversShards(size_t arena_bytes, size_t num_shards);
+
+  // qdlpd's eviction-domain count when --shards is absent: the smallest
+  // power of two >= 8 * (num_workers - 1), at least 1, so each of the other
+  // workers finds a given domain busy about 1/8 as often, halved until
+  // ArenaCoversShards holds (or one domain is left). One worker keeps one
+  // domain; two get 8.
+  static size_t DefaultShards(size_t num_workers, size_t arena_bytes);
 };
 
 class QdlpdServer {

@@ -1,5 +1,7 @@
 #include "src/store/slab_store.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 
@@ -13,21 +15,34 @@ SlabStore::SlabStore(size_t num_cells, size_t num_domains,
   QDLP_CHECK(num_cells >= 1);
   QDLP_CHECK(num_domains >= 1 && num_domains <= 256);
   QDLP_CHECK(max_value_len_ < (size_t{1} << 24));  // ChunkRef len field
-  arena_words_ = (arena_bytes_per_domain + 7) / 8;
-  // Room for at least one chunk of the largest permitted value at its
-  // natural (own-size) alignment: the first such chunk starts at the
-  // first aligned offset past the sentinel word, so the arena must reach
-  // twice the chunk size. The skipped alignment gap is not lost — it is
-  // carved into smaller free chunks.
-  const size_t min_words = 2 * ChunkWords(max_value_len_);
-  if (arena_words_ < min_words) {
-    arena_words_ = min_words;
-  }
+  // Whole words, and never below room for one maximum-length chunk.
+  arena_words_ = std::max((arena_bytes_per_domain + 7) / 8,
+                          MinArenaBytesPerDomain(max_value_len_) / 8);
   QDLP_CHECK(arena_words_ <= (size_t{1} << 32));  // ChunkRef offset field
   for (Domain& domain : domains_) {
-    domain.words = std::make_unique<std::atomic<uint64_t>[]>(arena_words_);
-    domain.free_class = std::make_unique<uint8_t[]>(arena_words_);  // zeroed
+    domain.words = static_cast<uint64_t*>(AllocateZeroed(arena_words_ * 8));
+    domain.free_class = static_cast<uint8_t*>(AllocateZeroed(arena_words_));
   }
+}
+
+SlabStore::~SlabStore() {
+  for (Domain& domain : domains_) {
+    FreeZeroed(domain.words, arena_words_ * 8);
+    FreeZeroed(domain.free_class, arena_words_);
+  }
+}
+
+void* SlabStore::AllocateZeroed(size_t bytes) {
+  // A private anonymous mapping: zero-filled, and each page is committed
+  // only when first written, so untouched arena costs no resident memory.
+  void* memory = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  QDLP_CHECK(memory != MAP_FAILED);
+  return memory;
+}
+
+void SlabStore::FreeZeroed(void* memory, size_t bytes) {
+  munmap(memory, bytes);
 }
 
 void SlabStore::PushFree(Domain& domain, size_t offset, size_t cls) {
@@ -35,34 +50,36 @@ void SlabStore::PushFree(Domain& domain, size_t offset, size_t cls) {
   // Every link access is an atomic word op: a stale reader may still be
   // copying a just-freed chunk, and its seqlock re-check rejects the torn
   // copy — same contract as the value stores.
-  domain.words[offset].store(PackLink(0, head), std::memory_order_relaxed);
+  Word(domain.words, offset)
+      .store(PackLink(0, head), std::memory_order_relaxed);
   if (head != 0) {
     const uint64_t head_link =
-        domain.words[head].load(std::memory_order_relaxed);
-    domain.words[head].store(PackLink(offset, LinkNext(head_link)),
-                             std::memory_order_relaxed);
+        Word(domain.words, head).load(std::memory_order_relaxed);
+    Word(domain.words, head).store(PackLink(offset, LinkNext(head_link)),
+                                   std::memory_order_relaxed);
   }
   domain.free_head[cls] = offset;
   domain.free_class[offset] = static_cast<uint8_t>(cls + 1);
 }
 
 void SlabStore::UnlinkFree(Domain& domain, size_t offset, size_t cls) {
-  const uint64_t link = domain.words[offset].load(std::memory_order_relaxed);
+  const uint64_t link =
+      Word(domain.words, offset).load(std::memory_order_relaxed);
   const size_t prev = LinkPrev(link);
   const size_t next = LinkNext(link);
   if (prev != 0) {
     const uint64_t prev_link =
-        domain.words[prev].load(std::memory_order_relaxed);
-    domain.words[prev].store(PackLink(LinkPrev(prev_link), next),
-                             std::memory_order_relaxed);
+        Word(domain.words, prev).load(std::memory_order_relaxed);
+    Word(domain.words, prev).store(PackLink(LinkPrev(prev_link), next),
+                                   std::memory_order_relaxed);
   } else {
     domain.free_head[cls] = next;
   }
   if (next != 0) {
     const uint64_t next_link =
-        domain.words[next].load(std::memory_order_relaxed);
-    domain.words[next].store(PackLink(prev, LinkNext(next_link)),
-                             std::memory_order_relaxed);
+        Word(domain.words, next).load(std::memory_order_relaxed);
+    Word(domain.words, next).store(PackLink(prev, LinkNext(next_link)),
+                                   std::memory_order_relaxed);
   }
   domain.free_class[offset] = 0;
 }
@@ -134,18 +151,18 @@ void SlabStore::WriteChunk(ChunkRef chunk, const void* data, size_t len) {
   QDLP_DCHECK(chunk != kNullChunk);
   QDLP_DCHECK(ChunkLen(chunk) == len);
   Domain& domain = domains_[ChunkDomain(chunk)];
-  std::atomic<uint64_t>* words = domain.words.get() + ChunkOffset(chunk);
+  uint64_t* words = domain.words + ChunkOffset(chunk);
   const uint8_t* src = static_cast<const uint8_t*>(data);
   size_t i = 0;
   for (; i + 8 <= len; i += 8) {
     uint64_t w;
     std::memcpy(&w, src + i, 8);
-    words[i / 8].store(w, std::memory_order_relaxed);
+    Word(words, i / 8).store(w, std::memory_order_relaxed);
   }
   if (i < len) {
     uint64_t w = 0;
     std::memcpy(&w, src + i, len - i);
-    words[i / 8].store(w, std::memory_order_relaxed);
+    Word(words, i / 8).store(w, std::memory_order_relaxed);
   }
 }
 
@@ -260,17 +277,19 @@ SlabStore::ReadResult SlabStore::Read(uint32_t cell, uint64_t id,
       result = ReadResult::kExpired;
     } else {
       const size_t len = ChunkLen(chunk);
-      const std::atomic<uint64_t>* words =
-          domains_[ChunkDomain(chunk)].words.get() + ChunkOffset(chunk);
+      uint64_t* words =
+          domains_[ChunkDomain(chunk)].words + ChunkOffset(chunk);
       out->resize(base + len);
       char* dst = out->data() + base;
       size_t i = 0;
       for (; i + 8 <= len; i += 8) {
-        const uint64_t w = words[i / 8].load(std::memory_order_relaxed);
+        const uint64_t w =
+            Word(words, i / 8).load(std::memory_order_relaxed);
         std::memcpy(dst + i, &w, 8);
       }
       if (i < len) {
-        const uint64_t w = words[i / 8].load(std::memory_order_relaxed);
+        const uint64_t w =
+            Word(words, i / 8).load(std::memory_order_relaxed);
         std::memcpy(dst + i, &w, len - i);
       }
       result = ReadResult::kHit;
@@ -332,7 +351,7 @@ void SlabStore::CheckInvariants() const {
                      domain.free_class[buddy] != cls + 1);
         }
         const uint64_t link =
-            domain.words[offset].load(std::memory_order_relaxed);
+            Word(domain.words, offset).load(std::memory_order_relaxed);
         QDLP_CHECK(LinkPrev(link) == prev);
         prev = offset;
         offset = LinkNext(link);

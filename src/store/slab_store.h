@@ -13,7 +13,11 @@
 //    id, packed chunk reference, expiry). Cells are keyed by the cache's
 //    location index, so a metadata move (probation -> main promotion) is
 //    MoveCell(), not a copy of the bytes.
-//  * Per-domain arenas of atomic u64 words holding the value bytes. Each
+//  * Per-domain arenas of u64 words holding the value bytes, every word
+//    read and written as an atomic (std::atomic_ref). Arenas are
+//    anonymous mappings the OS zero-fills a page at a time on first
+//    write, so a store reserves its whole arena up front but its resident
+//    memory grows only as far as values have reached. Each
 //    eviction domain owns one arena with a bump allocator and a buddy
 //    system: power-of-two size-class freelists, larger free chunks split
 //    down on allocation, and freed chunks merged with their free buddy
@@ -32,9 +36,9 @@
 //    appends the value words to the caller's buffer, and validates the
 //    version. A concurrent Commit/Clear/Move of the same cell, or a
 //    Free+reuse of the chunk the reader is copying, bumps the version and
-//    the reader drops the copy and retries (the arena is atomic words
-//    with relaxed ops, so a torn copy is detected, never undefined
-//    behavior).
+//    the reader drops the copy and retries (every arena word is accessed
+//    only through relaxed atomic ops, so a torn copy is detected, never
+//    undefined behavior).
 //  * A reader passes the id it expects the cell to hold; an id mismatch
 //    (the cache moved or replaced the occupant between the caller's index
 //    probe and the cell read) returns kStale and the caller re-probes.
@@ -49,7 +53,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,10 +77,25 @@ class SlabStore {
   };
 
   // `num_cells` cache locations; `num_domains` arenas of
-  // `arena_bytes_per_domain` (rounded up to whole words, at least one
-  // chunk) each; values longer than `max_value_len` are rejected.
+  // `arena_bytes_per_domain` (rounded up to whole words, and raised to
+  // MinArenaBytesPerDomain) each; values longer than `max_value_len` are
+  // rejected.
   SlabStore(size_t num_cells, size_t num_domains,
             size_t arena_bytes_per_domain, size_t max_value_len);
+  ~SlabStore();
+
+  SlabStore(const SlabStore&) = delete;
+  SlabStore& operator=(const SlabStore&) = delete;
+
+  // The smallest arena one domain runs with: room for one chunk of the
+  // largest permitted value at its natural (own-size) alignment. The first
+  // such chunk starts at the first aligned offset past the sentinel word,
+  // so the arena must reach twice the chunk size (the skipped alignment
+  // gap is not lost — it is carved into smaller free chunks). 8 MiB at
+  // qdlpd's 4 MiB maximum value.
+  static size_t MinArenaBytesPerDomain(size_t max_value_len) {
+    return 2 * ChunkWords(max_value_len) * 8;
+  }
 
   size_t num_cells() const { return cells_.size(); }
   size_t num_domains() const { return domains_.size(); }
@@ -145,7 +163,7 @@ class SlabStore {
       return;
     }
     const char* bytes = reinterpret_cast<const char*>(
-        domains_[domain].words.get() + ChunkOffset(chunk));
+        domains_[domain].words + ChunkOffset(chunk));
     PrefetchForRead(bytes);
     if (ChunkLen(chunk) > 64) {
       PrefetchForRead(bytes + 64);
@@ -177,8 +195,10 @@ class SlabStore {
     std::atomic<uint64_t> expiry{0};
   };
 
+  // Both arrays are lazily zeroed mappings of the store's lifetime
+  // (AllocateZeroed). `words` is only ever accessed through Word().
   struct alignas(64) Domain {
-    std::unique_ptr<std::atomic<uint64_t>[]> words;
+    uint64_t* words = nullptr;
     size_t bump = 1;  // word 0 is the null-chunk sentinel, never allocated
     // Head word-offset of the doubly-linked freelist per size class
     // (0 = empty); both links live packed in the first word of each free
@@ -187,9 +207,19 @@ class SlabStore {
     // Per-word-offset tag: 0 when the offset does not head a free chunk,
     // class + 1 when it does. This is how FreeBlock tells in O(1) whether
     // a buddy is free at the same class and thus mergeable.
-    std::unique_ptr<uint8_t[]> free_class;
+    uint8_t* free_class = nullptr;
     std::atomic<size_t> live_bytes{0};
   };
+
+  // Arena word `offset` of `words`, as the atomic every access uses.
+  static std::atomic_ref<uint64_t> Word(uint64_t* words, size_t offset) {
+    return std::atomic_ref<uint64_t>(words[offset]);
+  }
+
+  // `bytes` of zero-filled memory whose pages the OS commits on first
+  // write; released by FreeZeroed.
+  static void* AllocateZeroed(size_t bytes);
+  static void FreeZeroed(void* memory, size_t bytes);
 
   // Freelist link word: [prev offset:32][next offset:32], 0 = none (word
   // 0 is the never-allocated sentinel, so 0 is free as a null).

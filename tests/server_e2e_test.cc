@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/concurrent/concurrent_cache.h"
+#include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/core/cache_api.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
@@ -34,6 +37,47 @@ QdlpdOptions SmallServerOptions() {
   return options;
 }
 
+// qdlpd's defaults for `--workers=2 --arena-mb=64` at a small capacity:
+// DefaultShards gives the engine eight domains.
+QdlpdOptions TwoWorkerDefaultOptions() {
+  QdlpdOptions options = SmallServerOptions();
+  options.num_workers = 2;
+  options.cache.max_value_len = kMaxValueLen;
+  options.cache.value_arena_bytes = size_t{64} << 20;
+  options.cache.num_shards =
+      QdlpdOptions::DefaultShards(2, options.cache.value_arena_bytes);
+  return options;
+}
+
+// qdlpd's eviction-domain count without --shards: the smallest power of
+// two >= 8 * (workers - 1), halved until each domain gets 8 MiB of arena.
+TEST(QdlpdOptionsTest, DefaultShardsFollowWorkersAndArena) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  EXPECT_EQ(QdlpdOptions::DefaultShards(1, 256 * kMiB), 1u);
+  for (const size_t arena_mb : {64, 160, 256}) {
+    EXPECT_EQ(QdlpdOptions::DefaultShards(2, arena_mb * kMiB), 8u)
+        << arena_mb;
+  }
+  EXPECT_EQ(QdlpdOptions::DefaultShards(2, 16 * kMiB), 2u);
+  EXPECT_EQ(QdlpdOptions::DefaultShards(3, 256 * kMiB), 16u);
+  EXPECT_EQ(QdlpdOptions::DefaultShards(5, 256 * kMiB), 32u);
+  // An arena too small for even one domain still gets one (qdlpd then
+  // rejects it); a huge worker count stops at the engine's 256 cap.
+  EXPECT_EQ(QdlpdOptions::DefaultShards(2, 4 * kMiB), 1u);
+  EXPECT_EQ(QdlpdOptions::DefaultShards(SIZE_MAX, 32768 * kMiB), 256u);
+}
+
+// An explicit --shards is checked the way the engine rounds it.
+TEST(QdlpdOptionsTest, ArenaMustGiveEveryDomainEightMiB) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  EXPECT_TRUE(QdlpdOptions::ArenaCoversShards(16 * kMiB, 2));
+  EXPECT_FALSE(QdlpdOptions::ArenaCoversShards(16 * kMiB, 3));  // 4 domains
+  EXPECT_FALSE(QdlpdOptions::ArenaCoversShards(16 * kMiB, 8));
+  EXPECT_FALSE(QdlpdOptions::ArenaCoversShards(256 * kMiB, 64));
+  EXPECT_TRUE(QdlpdOptions::ArenaCoversShards(256 * kMiB, 32));
+  EXPECT_FALSE(QdlpdOptions::ArenaCoversShards(4 * kMiB, 1));
+}
+
 class ServerE2eTest : public ::testing::Test {
  protected:
   void StartServer(const QdlpdOptions& options) {
@@ -42,6 +86,35 @@ class ServerE2eTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start(&error)) << error;
     ASSERT_NE(server_->port(), 0);
   }
+
+  // Eight connections spread over the workers, each SETting a key and
+  // reading back the key another connection wrote.
+  void ManyConnections(const QdlpdOptions& options) {
+    StartServer(options);
+    std::vector<std::unique_ptr<QdlpdClient>> clients;
+    for (int i = 0; i < 8; ++i) {
+      clients.push_back(std::make_unique<QdlpdClient>());
+      ASSERT_TRUE(clients.back()->Connect(server_->port())) << i;
+    }
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(clients[i]->Set(static_cast<ObjectId>(i), 0,
+                                "conn" + std::to_string(i)),
+                Status::kOk);
+    }
+    for (int i = 0; i < 8; ++i) {
+      std::string value;
+      // Read a key written on a different connection (and possibly worker).
+      const int other = (i + 3) % 8;
+      ASSERT_EQ(clients[i]->Get(static_cast<ObjectId>(other), &value),
+                Status::kOk);
+      EXPECT_EQ(value, "conn" + std::to_string(other));
+    }
+    server_->cache().CheckInvariants();
+  }
+
+  // The zero-copy GET differential below, on an engine configured from
+  // `base`.
+  void ZeroCopyDifferential(const QdlpdOptions& base);
 
   void TearDown() override {
     if (server_ != nullptr) {
@@ -295,26 +368,15 @@ TEST_F(ServerE2eTest, HalfCloseDeliversAllPipelinedResponses) {
 TEST_F(ServerE2eTest, ManyConnectionsAcrossWorkers) {
   QdlpdOptions options = SmallServerOptions();
   options.num_workers = 2;
-  StartServer(options);
-  std::vector<std::unique_ptr<QdlpdClient>> clients;
-  for (int i = 0; i < 8; ++i) {
-    clients.push_back(std::make_unique<QdlpdClient>());
-    ASSERT_TRUE(clients.back()->Connect(server_->port())) << i;
-  }
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(clients[i]->Set(static_cast<ObjectId>(i), 0,
-                              "conn" + std::to_string(i)),
-              Status::kOk);
-  }
-  for (int i = 0; i < 8; ++i) {
-    std::string value;
-    // Read a key written on a different connection (and possibly worker).
-    const int other = (i + 3) % 8;
-    ASSERT_EQ(clients[i]->Get(static_cast<ObjectId>(other), &value),
-              Status::kOk);
-    EXPECT_EQ(value, "conn" + std::to_string(other));
-  }
-  server_->cache().CheckInvariants();
+  ManyConnections(options);
+}
+
+// The same, on the engine qdlpd builds for two workers by default: eight
+// eviction domains, so the workers' SETs land in different domains.
+TEST_F(ServerE2eTest, ManyConnectionsAcrossWorkersOnEightDomains) {
+  ManyConnections(TwoWorkerDefaultOptions());
+  EXPECT_EQ(
+      dynamic_cast<ConcurrentQdLpFifo&>(server_->cache()).num_shards(), 8u);
 }
 
 // A TTL clock both engines of the zero-copy test share, stepped by hand.
@@ -339,6 +401,19 @@ TEST_F(ServerE2eTest, ZeroCopyGetRepliesMatchInProcessGet) {
   QdlpdOptions options = SmallServerOptions();
   options.cache.max_value_len = kMaxValueLen;
   options.cache.value_arena_bytes = 32 << 20;
+  ZeroCopyDifferential(options);
+}
+
+// The same on qdlpd's two-worker default: eight domains, each with its own
+// arena, so the 4 MiB value fills one domain's 8 MiB share.
+TEST_F(ServerE2eTest, ZeroCopyGetRepliesMatchInProcessGetOnEightDomains) {
+  ZeroCopyDifferential(TwoWorkerDefaultOptions());
+  EXPECT_EQ(
+      dynamic_cast<ConcurrentQdLpFifo&>(server_->cache()).num_shards(), 8u);
+}
+
+void ServerE2eTest::ZeroCopyDifferential(const QdlpdOptions& base) {
+  QdlpdOptions options = base;
   options.cache.now_fn = &FakeNow;
   g_fake_now = 1000;
   StartServer(options);

@@ -7,11 +7,16 @@
 // the same way against per-shard LRU references. Plus: capacity-share
 // arithmetic (remainder distribution, tiny-cache clamping) and the
 // quiescent contention-counter identities that pin the telemetry's
-// meaning (docs/OBSERVABILITY.md).
+// meaning (docs/OBSERVABILITY.md), and the domain lock's two promises:
+// mutual exclusion, and a bounded spin before it parks.
+
+#include <time.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -21,6 +26,7 @@
 #include "src/concurrent/concurrent_clock.h"
 #include "src/concurrent/concurrent_qdlp_fifo.h"
 #include "src/concurrent/concurrent_s3fifo.h"
+#include "src/concurrent/eviction_domains.h"
 #include "src/concurrent/sharded_lru.h"
 #include "src/obs/cache_stats.h"
 #include "src/trace/generators.h"
@@ -262,6 +268,63 @@ TEST(ShardDomainsTest, BufferedMissesAreNeverStranded) {
     EXPECT_EQ(stats.requests, uint64_t{kThreads} * kEpisodes * kKeysPerThread)
         << shards;
   }
+}
+
+// DomainMutex is still a lock: four threads' unsynchronized increments
+// under it all land, whether a thread enters through lock() or through
+// the cache's try_lock-then-lock.
+TEST(DomainMutexTest, IncrementsUnderItAllLand) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kIncrements = 200000;
+  DomainMutex mu;
+  uint64_t counter = 0;  // ordered only by mu
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t i = 0; i < kIncrements; ++i) {
+        if ((i + t) % 2 == 0 || !mu.try_lock()) {
+          mu.lock();
+        }
+        ++counter;
+        mu.unlock();
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter, kThreads * kIncrements);
+}
+
+double ThreadCpuMs() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+// Its spin is bounded: a waiter queued behind a holder that keeps the lock
+// for 100 ms parks, burning far less CPU than the wait lasts.
+TEST(DomainMutexTest, WaiterBehindLongHolderParks) {
+  DomainMutex mu;
+  mu.lock();
+  std::atomic<bool> waiting{false};
+  double waiter_cpu_ms = -1;
+  std::thread waiter([&] {
+    const double cpu0 = ThreadCpuMs();
+    waiting.store(true);
+    mu.lock();
+    waiter_cpu_ms = ThreadCpuMs() - cpu0;
+    mu.unlock();
+  });
+  while (!waiting.load()) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  mu.unlock();
+  waiter.join();
+  EXPECT_GE(waiter_cpu_ms, 0);
+  EXPECT_LT(waiter_cpu_ms, 20);
 }
 
 }  // namespace

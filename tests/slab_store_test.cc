@@ -1,5 +1,6 @@
 // SlabStore unit tests: the seqlock cell protocol, the per-domain buddy
-// allocator, TTL laziness, and the accounting invariants.
+// allocator, TTL laziness, the accounting invariants, and arenas that
+// are committed as values arrive.
 
 #include "src/store/slab_store.h"
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "src/util/random.h"
+#include "src/util/rss.h"
 
 namespace qdlp {
 namespace {
@@ -359,6 +361,32 @@ TEST(SlabStoreTest, RandomizedChurnMatchesShadow) {
     }
   }
   EXPECT_EQ(store.live_value_bytes(), live_bytes);
+  store.CheckInvariants();
+}
+
+// Building a store reserves its arenas but commits none of them: a 256 MiB
+// arena raises the resident set by far less than its size, and a value
+// written into it commits only the pages it lands on.
+TEST(SlabStoreTest, ArenaIsCommittedAsValuesArrive) {
+  const size_t before = CurrentRssBytes();
+  if (before == 0) {
+    GTEST_SKIP() << "no VmRSS on this platform";
+  }
+  constexpr size_t kLimit = size_t{16} << 20;
+  SlabStore store(/*num_cells=*/1024, /*num_domains=*/1,
+                  /*arena_bytes_per_domain=*/size_t{256} << 20,
+                  /*max_value_len=*/4u << 20);
+  EXPECT_LT(CurrentRssBytes(), before + kLimit);
+
+  const std::string value(1 << 20, 'x');
+  const SlabStore::ChunkRef chunk = store.Allocate(0, value.size());
+  ASSERT_NE(chunk, SlabStore::kNullChunk);
+  store.WriteChunk(chunk, value.data(), value.size());
+  store.Commit(/*cell=*/0, /*id=*/1, chunk, /*expiry_s=*/0);
+  std::string out;
+  ASSERT_EQ(store.Read(0, 1, 0, &out), SlabStore::ReadResult::kHit);
+  EXPECT_EQ(out, value);
+  EXPECT_LT(CurrentRssBytes(), before + kLimit);
   store.CheckInvariants();
 }
 
