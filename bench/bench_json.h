@@ -232,6 +232,52 @@ inline void FillScalingEfficiency(std::vector<BenchJsonResult>* results) {
   }
 }
 
+// Admitted misses per second: the rate at which misses actually enter the
+// cache, ops_per_sec x inserts / requests. A miss path that drops its
+// admissions reads fast in raw ops/s and slow here. 0 without stats.
+inline double AdmittedMissesPerSec(const BenchJsonResult& row) {
+  if (!row.has_stats || row.stats.requests == 0) {
+    return 0.0;
+  }
+  return row.ops_per_sec * static_cast<double>(row.stats.inserts) /
+         static_cast<double>(row.stats.requests);
+}
+
+// Appends the derived row `name` for every result whose benchmark name
+// starts with `numerator_prefix` and has a sibling with
+// `denominator_prefix` in its place (same remaining name, so the same
+// thread count): ops_per_sec = admitted misses/s of the numerator over
+// that of the denominator, a machine-independent ratio for
+// tools/bench_compare.py --require. The row carries the numerator's
+// stats block so --check-stats still sees every row measured. A pair
+// whose denominator admitted nothing adds no row.
+inline void AppendGoodputRatio(std::vector<BenchJsonResult>* results,
+                               const std::string& name,
+                               const std::string& numerator_prefix,
+                               const std::string& denominator_prefix) {
+  std::vector<BenchJsonResult> derived;
+  for (const BenchJsonResult& num : *results) {
+    if (num.benchmark.rfind(numerator_prefix, 0) != 0) {
+      continue;
+    }
+    const std::string sibling =
+        denominator_prefix + num.benchmark.substr(numerator_prefix.size());
+    for (const BenchJsonResult& den : *results) {
+      if (den.benchmark != sibling || AdmittedMissesPerSec(den) <= 0.0) {
+        continue;
+      }
+      BenchJsonResult row = num;
+      row.benchmark = name;
+      row.ops_per_sec = AdmittedMissesPerSec(num) / AdmittedMissesPerSec(den);
+      row.bytes_per_object = 0.0;
+      row.scaling_efficiency = 0.0;
+      derived.push_back(row);
+      break;
+    }
+  }
+  results->insert(results->end(), derived.begin(), derived.end());
+}
+
 // Writes the report to `path`; returns false (and prints to stderr) on I/O
 // failure.
 inline bool WriteBenchJson(const std::string& path, const std::string& binary,

@@ -193,7 +193,10 @@ BENCHMARK(BM_ConcurrentQdLpFifoSkew)
 // vs eight, at the highest measured thread count. With shards:1 every miss
 // fights for the single mutex; shards:8 spreads the same misses across
 // eight domains, which is exactly where the
-// sharded design must win.
+// sharded design must win. Raw ops/s rewards a miss path that drops its
+// admissions, so the binary also emits missheavy/goodput_ratio: admitted
+// misses/s at shards:8 over shards:1 (bench_json.h AppendGoodputRatio),
+// which CI's bench-smoke holds above a floor.
 constexpr size_t kMissHeavyCapacity = 1 << 14;
 void BM_ConcurrentQdLpFifoMissHeavy(benchmark::State& state) {
   BM_ConcurrentGet<ConcurrentQdLpFifo>(
@@ -246,6 +249,9 @@ int main(int argc, char** argv) {
   qdlp::JsonCaptureReporter reporter(qdlp::CacheKindFromBenchmarkName);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   qdlp::FillScalingEfficiency(&reporter.results());
+  qdlp::AppendGoodputRatio(&reporter.results(), "missheavy/goodput_ratio",
+                           "BM_ConcurrentQdLpFifoMissHeavy/shards:8/",
+                           "BM_ConcurrentQdLpFifoMissHeavy/shards:1/");
   const std::string json_path = qdlp::BenchJsonOutputPath();
   if (qdlp::WriteBenchJson(json_path, "throughput_scalability",
                            reporter.results())) {

@@ -51,7 +51,7 @@ class ConcurrentCache : public Cache {
 
   // Get with guaranteed admission: identical semantics and counting to
   // Get(), except that a miss blocks on the home-domain lock (exactly like
-  // Remove()) instead of deferring to the best-effort insert buffers — so
+  // Remove()) instead of deferring to the best-effort insert ring — so
   // the id is resident when the call returns (until a later eviction or
   // removal). Serving writes (Set) route here: a SET must not silently
   // admit nothing under contention. Uncontended, this is

@@ -14,9 +14,10 @@
 //   * the sharded eviction domains (eviction_domains.h) and the drain
 //     protocol over them: a missing Get() try-locks its id's home domain,
 //     drains that domain's buffered misses and admits inline; on try-lock
-//     failure it buffers the id (or drops it if the buffers are full) and
-//     returns without blocking. A domain's buffered misses are drained
-//     only by the next holder of that domain's lock. Admit/Remove/SetValue
+//     failure it pushes the id into the domain's one insert ring (or
+//     drops it if the ring is full) and returns without blocking. A
+//     domain's buffered misses are drained only by the next holder of
+//     that domain's lock. Admit/Remove/SetValue
 //     take the home lock blocking (counting a lock_wait when a try_lock
 //     finds it held; the wait spins briefly, then parks — DomainMutex)
 //     and drain it first;
@@ -26,7 +27,7 @@
 //     at once when it was 0. Every buffered id is then covered by an
 //     increment some later drain consumes, so none is stranded, and a
 //     domain nobody buffered into — qdlpd's value path, whose GETs never
-//     admit — is never scanned;
+//     admit — never has its ring read;
 //   * the striped counters, Stats(), the metadata
 //     footprint and the shared half of CheckInvariants;
 //   * the optional SlabStore value path (GetValue/SetValue, the Cache
@@ -273,7 +274,7 @@ class DomainCache : public ConcurrentCache {
     core_.counters.Add(Counters::kInserts);
     return regions_.Admit(s, id);
   }
-  // Counts the acquisition just made and drains the shard's buffers: the
+  // Counts the acquisition just made and drains the shard's ring: the
   // prologue of every operation holding a shard lock for itself.
   void SettleLocked(size_t s);
   // The lock-free hit path shared by Get and Admit: one index probe plus
@@ -292,7 +293,7 @@ class DomainCache : public ConcurrentCache {
   bool AppendValue(ObjectId id, uint64_t now_s, std::string* out);
   // A counted Get/Admit miss under the freshly taken home-domain lock.
   bool MissLocked(size_t s, ObjectId id);
-  // Drains shard s's insert buffers.
+  // Drains shard s's insert ring.
   void DrainShardLocked(size_t s);
 
   DomainCore core_;
@@ -319,13 +320,13 @@ bool DomainCache<Regions>::Get(ObjectId id) {
   // Contended: buffer the id for the current holder to admit.
   core_.counters.Add(Counters::kLockFailures);
   core_.counters.Add(Counters::kMisses);
-  if (domain.buffers.TryPush(id)) {
+  if (domain.ring.TryPush(id)) {
     // After the push, so the drain that claims this increment sees the id
     // (DrainShardLocked).
     domain.pending.fetch_add(1, std::memory_order_release);
     return false;
   }
-  // Buffers full while the lock is held elsewhere — on an oversubscribed
+  // Ring full while the lock is held elsewhere — on an oversubscribed
   // machine that usually means the holder was preempted mid-drain.
   // Blocking here would convoy every missing thread behind it, so
   // admission is best-effort instead: drop this one (the object is
@@ -352,7 +353,7 @@ bool DomainCache<Regions>::Remove(ObjectId id) {
   // Blocking lock, unlike the miss path's try_lock: removal is rare
   // (invalidation, TTL reap, a DELETE request) and must not be best-effort.
   // Safe to block — lock holders never wait on other locks. Settling the
-  // buffers first keeps a just-buffered admission of this very id from
+  // ring first keeps a just-buffered admission of this very id from
   // resurrecting it right after we return.
   const size_t s = core_.domains.ShardOf(id);
   const std::unique_lock<DomainMutex> lock = LockHome(s);
@@ -494,7 +495,7 @@ typename DomainCache<Regions>::SetResult DomainCache<Regions>::SetValue(
       regions_.EvictOne(s);
     }
   }
-  // Under the home lock, with the buffers settled, the index is exact for
+  // Under the home lock, with the ring settled, the index is exact for
   // this id: one probe decides, and admission reports where it placed it.
   uint32_t loc;
   if (!core_.index.Find(id, &loc)) {
@@ -540,8 +541,13 @@ void DomainCache<Regions>::DrainShardLocked(size_t s) {
   if (domain.pending.exchange(0, std::memory_order_acquire) == 0) {
     return;
   }
-  core_.counters.AddDrainBatch(
-      domain.buffers.Drain([&](uint64_t id) { InsertLocked(s, id); }));
+  size_t drained = 0;
+  uint64_t id;
+  while (domain.ring.TryPop(&id)) {
+    InsertLocked(s, id);
+    ++drained;
+  }
+  core_.counters.AddDrainBatch(drained);
 }
 
 template <typename Regions>
@@ -569,7 +575,7 @@ void DomainCache<Regions>::CheckInvariants() {
     DrainShardLocked(s);
     // Quiescent, every buffered id's increment has landed, so the drain
     // left nothing behind: a stranded admission would sit here forever.
-    QDLP_CHECK(domain.buffers.empty());
+    QDLP_CHECK(domain.ring.empty());
   }
   size_t total = 0;
   for (size_t s = 0; s < shards; ++s) {

@@ -3,10 +3,11 @@
 //
 // DomainCache (domain_cache.h) partitions its Regions' queue storage into
 // S independent domains selected by id hash; a domain owns a slab region,
-// one lock (a DomainMutex), one bank of per-thread-ordinal insert
-// buffers (BP-Wrapper, mpsc_ring.h), and an approximate count of buffered
-// misses. Misses to different domains admit/evict fully in parallel; the
-// lock-free striped_index hit path stays global and untouched.
+// one lock (a DomainMutex), one multi-producer insert ring (BP-Wrapper,
+// mpsc_ring.h) of kRingCapacity slots, and an approximate count of
+// buffered misses. Misses to different domains admit/evict fully in
+// parallel; the lock-free striped_index hit path stays global and
+// untouched.
 //
 // Shard selection is deliberately the same bit extraction the striped
 // index uses for stripe selection — (FlatMapHash(id) >> 32) masked by a
@@ -26,13 +27,15 @@
 //
 // Drain protocol (implemented once, in DomainCache; supported here):
 //   * A missing thread try-locks its id's home domain; on success it
-//     drains that domain's buffers and admits inline.
-//   * On failure it buffers the id in the home domain's rings, then bumps
+//     drains that domain's ring and admits inline.
+//   * On failure it pushes the id into the home domain's ring, then bumps
 //     `pending`, and returns — Get() never blocks. A full ring drops the
 //     admission (counted as a buffer_drop).
 //   * A drain claims `pending` (exchange to 0) before popping and skips
-//     the rings when it claimed nothing, so every buffered id is popped
-//     by the drain that claims its increment, or an earlier one.
+//     the ring when it claimed nothing, so every buffered id is popped
+//     by the drain that claims its increment, or an earlier one. The
+//     claim is one exchange on the mutex's own cache line: a SET or
+//     DELETE that finds nothing buffered never touches the ring.
 //   * Buffered misses are drained only by the next holder of their home
 //     domain's lock; no thread drains another domain on its behalf.
 //
@@ -98,22 +101,21 @@ class DomainMutex {
 };
 
 // One eviction domain. The lock guards the owning cache's per-shard queue
-// state; `pending` is an approximate relaxed counter of ids sitting in
-// `buffers`.
+// state; `pending` is an approximate count of ids sitting in `ring`.
 struct EvictionDomain {
+  // The same for every shard count (docs/PERFORMANCE.md, "Miss path").
+  static constexpr size_t kRingCapacity = 1024;
+
   // Mutable so const observers (Stats) can lock for a coherent snapshot.
   alignas(64) mutable DomainMutex mu;
   // This shard's capacity share and the first slot of its slab region.
   size_t capacity = 0;
   size_t base = 0;
   // Buffered misses not yet claimed by a drain: a push bumps it after the
-  // id is in the rings, a drain claims it all (exchange to 0) before
-  // popping, so a drain with nothing claimed skips the rings.
+  // id is in the ring, a drain claims it all (exchange to 0) before
+  // popping, so a drain with nothing claimed skips the ring.
   std::atomic<size_t> pending{0};
-  InsertBuffers buffers;
-
-  explicit EvictionDomain(size_t num_rings, size_t ring_capacity)
-      : buffers(num_rings, ring_capacity) {}
+  MpscRing ring{kRingCapacity};
 };
 
 class EvictionDomains {
@@ -145,17 +147,12 @@ class EvictionDomains {
       shards /= 2;
     }
     mask_ = shards - 1;
-    // One domain keeps the historical 8x256 buffer bank; with many domains
-    // each keeps its own (smaller) bank so aggregate buffer space grows
-    // sub-linearly with the shard count.
-    const size_t rings = shards == 1 ? 8 : 4;
-    const size_t ring_capacity = shards == 1 ? 256 : 128;
     shards_.reserve(shards);
     const size_t base_share = capacity / shards;
     size_t remainder = capacity % shards;
     size_t next_base = 0;
     for (size_t i = 0; i < shards; ++i) {
-      auto domain = std::make_unique<EvictionDomain>(rings, ring_capacity);
+      auto domain = std::make_unique<EvictionDomain>();
       domain->capacity = base_share + (remainder > 0 ? 1 : 0);
       if (remainder > 0) {
         --remainder;
@@ -183,7 +180,7 @@ class EvictionDomains {
   size_t MemoryBytes() const {
     size_t bytes = 0;
     for (const auto& domain : shards_) {
-      bytes += sizeof(EvictionDomain) + domain->buffers.MemoryBytes();
+      bytes += sizeof(EvictionDomain) + domain->ring.MemoryBytes();
     }
     return bytes;
   }

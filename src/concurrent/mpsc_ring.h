@@ -1,18 +1,19 @@
-// Bounded multi-producer ring buffers for batched (BP-Wrapper-style)
-// insert buffering on the miss path.
+// A bounded multi-producer ring: the insert buffer of one eviction domain
+// (BP-Wrapper-style batching on the miss path).
 //
-// The concurrent caches serialize all structural mutation behind one
-// eviction mutex. Without buffering, every missing thread queues on that
-// mutex and the miss path convoys. With buffering, a thread that fails a
-// try_lock instead pushes the missed id into a small per-thread-striped
-// MPSC ring and returns immediately; whichever thread next holds the mutex
-// drains all rings and performs the batched admissions/evictions under the
-// single acquisition. Lock hold time is amortized over the whole batch and
-// Get() never blocks: when the rings are full AND the lock is held (which
-// on an oversubscribed machine means the holder was preempted mid-drain),
-// the admission is dropped rather than queued behind the sleeping holder —
-// admission is best-effort under overload. Every such drop is counted in
-// CacheStats::buffer_drops (quiescent single-threaded runs must report 0).
+// The concurrent caches serialize structural mutation behind each
+// eviction domain's mutex. Without buffering, every missing thread queues
+// on that mutex and the miss path convoys. With buffering, a thread that
+// fails the domain's try_lock instead pushes the missed id into the
+// domain's one ring and returns immediately; whichever thread next holds
+// the mutex drains the ring and performs the batched admissions/evictions
+// under the single acquisition. Lock hold time is amortized over the whole
+// batch and Get() never blocks: when the ring is full AND the lock is held
+// (which on an oversubscribed machine means the holder was preempted
+// mid-drain), the admission is dropped rather than queued behind the
+// sleeping holder — admission is best-effort under overload. Every such
+// drop is counted in CacheStats::buffer_drops (quiescent single-threaded
+// runs must report 0).
 //
 // MpscRing is the classic bounded sequence-number queue (Vyukov): each
 // cell carries a sequence counter that encodes whether it is free for the
@@ -28,11 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
-
-#include "src/util/thread_ordinal.h"
-
-#include "src/util/check.h"
 
 namespace qdlp {
 
@@ -106,64 +102,6 @@ class MpscRing {
   uint64_t mask_ = 0;
   alignas(64) std::atomic<uint64_t> tail_{0};  // producers
   alignas(64) uint64_t head_ = 0;              // consumer (serialized)
-};
-
-// A bank of MPSC rings, one per thread stripe, padded apart by the rings'
-// own alignas(64) head/tail fields.
-class InsertBuffers {
- public:
-  // Ring capacity is sized so a lock-holder preempted for a scheduler
-  // timeslice does not overflow the buffers and force everyone else onto
-  // the blocking-lock fallback: 8 x 256 absorbs ~2k misses.
-  explicit InsertBuffers(size_t num_rings = 8, size_t ring_capacity = 256) {
-    QDLP_CHECK(num_rings >= 1);
-    rings_.reserve(num_rings);
-    for (size_t i = 0; i < num_rings; ++i) {
-      rings_.push_back(std::make_unique<MpscRing>(ring_capacity));
-    }
-  }
-
-  // Producer side: buffer a missed id. False when the stripe ring is full
-  // (caller should fall back to a blocking drain).
-  bool TryPush(uint64_t id) {
-    return rings_[ThreadOrdinal() % rings_.size()]->TryPush(id);
-  }
-
-  // Consumer side (under the eviction mutex): drain every ring, invoking
-  // fn(id) per buffered miss. Returns the number drained.
-  template <typename Fn>
-  size_t Drain(Fn&& fn) {
-    size_t drained = 0;
-    for (auto& ring : rings_) {
-      uint64_t id;
-      while (ring->TryPop(&id)) {
-        fn(id);
-        ++drained;
-      }
-    }
-    return drained;
-  }
-
-  // Every ring is empty (MpscRing::empty). Consumer side.
-  bool empty() const {
-    for (const auto& ring : rings_) {
-      if (!ring->empty()) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  size_t MemoryBytes() const {
-    size_t bytes = 0;
-    for (const auto& ring : rings_) {
-      bytes += ring->MemoryBytes();
-    }
-    return bytes;
-  }
-
- private:
-  std::vector<std::unique_ptr<MpscRing>> rings_;
 };
 
 }  // namespace qdlp

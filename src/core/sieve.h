@@ -29,9 +29,10 @@ class BasicSievePolicy : public EvictionPolicy {
       : EvictionPolicy(capacity, "sieve"),
         index_(factory.template Make<uint32_t>()) {
     queue_.Reserve(capacity);
-    // +1: a miss emplaces the newcomer before evicting the victim, so the
-    // index transiently holds capacity + 1 entries.
-    index_.Reserve(capacity + 1);
+    // A miss emplaces the newcomer before evicting the victim, so the index
+    // transiently holds capacity + 1 entries. Reserve(capacity) sizes for
+    // <= 50% load, which leaves room for the extra one.
+    index_.Reserve(capacity);
   }
 
   size_t size() const override { return index_.size(); }

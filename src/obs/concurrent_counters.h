@@ -70,26 +70,9 @@ class ConcurrentStatsCounters {
   CacheStats Snapshot() const {
     CacheStats stats;
     for (const Cell& cell : cells_) {
-      stats.hits += cell.v[kHits].load(std::memory_order_relaxed);
-      stats.misses += cell.v[kMisses].load(std::memory_order_relaxed);
-      stats.inserts += cell.v[kInserts].load(std::memory_order_relaxed);
-      stats.evictions += cell.v[kEvictions].load(std::memory_order_relaxed);
-      stats.promotions += cell.v[kPromotions].load(std::memory_order_relaxed);
-      stats.demotions += cell.v[kDemotions].load(std::memory_order_relaxed);
-      stats.ghost_hits += cell.v[kGhostHits].load(std::memory_order_relaxed);
-      stats.lock_acquisitions +=
-          cell.v[kLockAcquisitions].load(std::memory_order_relaxed);
-      stats.lock_failures +=
-          cell.v[kLockFailures].load(std::memory_order_relaxed);
-      stats.lock_waits += cell.v[kLockWaits].load(std::memory_order_relaxed);
-      stats.buffer_drops +=
-          cell.v[kBufferDrops].load(std::memory_order_relaxed);
-      stats.drain_batch_le8 +=
-          cell.v[kDrainBatchLe8].load(std::memory_order_relaxed);
-      stats.drain_batch_le64 +=
-          cell.v[kDrainBatchLe64].load(std::memory_order_relaxed);
-      stats.drain_batch_gt64 +=
-          cell.v[kDrainBatchGt64].load(std::memory_order_relaxed);
+      for (size_t c = 0; c < kNumCounters; ++c) {
+        stats.*kFields[c] += cell.v[c].load(std::memory_order_relaxed);
+      }
     }
     stats.requests = stats.hits + stats.misses;
     return stats;
@@ -111,6 +94,24 @@ class ConcurrentStatsCounters {
   // exclusive cells in 4 KiB per cache.
   static constexpr size_t kCells = 64;
   static_assert((kCells & (kCells - 1)) == 0, "kCells must be a power of 2");
+
+  // The CacheStats field each Counter sums into, indexed by Counter.
+  static constexpr uint64_t CacheStats::*kFields[kNumCounters] = {
+      &CacheStats::hits,
+      &CacheStats::misses,
+      &CacheStats::inserts,
+      &CacheStats::evictions,
+      &CacheStats::promotions,
+      &CacheStats::demotions,
+      &CacheStats::ghost_hits,
+      &CacheStats::lock_acquisitions,
+      &CacheStats::lock_failures,
+      &CacheStats::lock_waits,
+      &CacheStats::buffer_drops,
+      &CacheStats::drain_batch_le8,
+      &CacheStats::drain_batch_le64,
+      &CacheStats::drain_batch_gt64,
+  };
 
   // Two cache lines per cell since the contention counters joined (14 x 8
   // bytes); a cell is still exclusively owned by one thread ordinal, so

@@ -51,8 +51,10 @@ class BasicArcPolicy : public EvictionPolicy {
       adaptive_ = false;
       p_ = fixed_p_fraction * static_cast<double>(capacity);
     }
-    // +1: a complete miss emplaces the newcomer before trimming a ghost.
-    index_.Reserve(2 * capacity + 1);
+    // A complete miss emplaces the newcomer before trimming a ghost, so the
+    // index transiently holds 2 * capacity + 1 entries. Reserve sizes for
+    // <= 50% load, which leaves room for the extra one.
+    index_.Reserve(2 * capacity);
   }
 
   size_t size() const override {

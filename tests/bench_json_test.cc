@@ -178,6 +178,54 @@ TEST(BenchJsonTest, ScalingEfficiencyBaselineAndPairing) {
   EXPECT_DOUBLE_EQ(rows[3].scaling_efficiency, 0.0);
 }
 
+TEST(BenchJsonTest, GoodputRatioDividesAdmittedMissesPerSecond) {
+  const auto miss_heavy = [](const std::string& name, double ops,
+                             uint64_t inserts) {
+    BenchJsonResult row;
+    row.benchmark = name;
+    row.threads = 4;
+    row.ops_per_sec = ops;
+    row.has_stats = true;
+    row.stats.requests = 1000;
+    row.stats.hits = 250;
+    row.stats.misses = 750;
+    row.stats.inserts = inserts;
+    return row;
+  };
+  // One domain: 8M ops/s admitting 20% = 1.6M/s. Eight: 4M ops/s
+  // admitting 60% = 2.4M/s. The raw ops/s ratio (0.5) is what a dropping
+  // miss path would show; the goodput ratio is 1.5.
+  std::vector<BenchJsonResult> rows = {
+      miss_heavy("BM_MissHeavy/shards:1/real_time/threads:4", 8.0e6, 200),
+      miss_heavy("BM_MissHeavy/shards:8/real_time/threads:4", 4.0e6, 600),
+      miss_heavy("BM_MissHeavy/shards:8/real_time/threads:2", 4.0e6, 600),
+  };
+  EXPECT_DOUBLE_EQ(AdmittedMissesPerSec(rows[0]), 1.6e6);
+  AppendGoodputRatio(&rows, "missheavy/goodput_ratio", "BM_MissHeavy/shards:8",
+                     "BM_MissHeavy/shards:1");
+  // The threads:2 row has no shards:1 sibling at its thread count.
+  ASSERT_EQ(rows.size(), 4u);
+  const BenchJsonResult& ratio = rows[3];
+  EXPECT_EQ(ratio.benchmark, "missheavy/goodput_ratio");
+  EXPECT_EQ(ratio.threads, 4);
+  EXPECT_DOUBLE_EQ(ratio.ops_per_sec, 1.5);
+  // The numerator's stats ride along, so --check-stats sees a measured row.
+  EXPECT_TRUE(ratio.has_stats);
+  EXPECT_EQ(ratio.stats.inserts, 600u);
+
+  // A row without stats has no goodput, and a zero denominator adds no row.
+  BenchJsonResult bare;
+  bare.ops_per_sec = 1.0e6;
+  EXPECT_DOUBLE_EQ(AdmittedMissesPerSec(bare), 0.0);
+  std::vector<BenchJsonResult> starved = {
+      miss_heavy("BM_MissHeavy/shards:1/threads:4", 8.0e6, 0),
+      miss_heavy("BM_MissHeavy/shards:8/threads:4", 4.0e6, 600),
+  };
+  AppendGoodputRatio(&starved, "missheavy/goodput_ratio",
+                     "BM_MissHeavy/shards:8", "BM_MissHeavy/shards:1");
+  EXPECT_EQ(starved.size(), 2u);
+}
+
 TEST(BenchJsonTest, StatsBlockEmitsEveryDocumentedField) {
   BenchJsonResult row;
   row.benchmark = "BM_Stats";

@@ -98,6 +98,30 @@ TEST(FlatMapTest, TombstoneReuseKeepsTableFromGrowing) {
   map.CheckInvariants();
 }
 
+// The policies' eviction order: a miss emplaces the newcomer before
+// evicting the victim, so a table Reserve()d for a power-of-two capacity
+// transiently holds capacity + 1 entries. That extra entry must fit the
+// reserved table, at the high-water mark and under churn.
+TEST(FlatMapTest, ReserveAbsorbsOneEntryPastCapacity) {
+  constexpr uint64_t kCapacity = 1 << 12;
+  FlatMap<int> map;
+  map.Reserve(kCapacity);
+  const size_t reserved_bytes = map.MemoryBytes();
+  for (uint64_t key = 0; key <= kCapacity; ++key) {
+    map.Emplace(key);
+  }
+  EXPECT_EQ(map.size(), kCapacity + 1);
+  EXPECT_EQ(map.MemoryBytes(), reserved_bytes);
+  uint64_t oldest = 0;
+  ASSERT_TRUE(map.Erase(oldest++));
+  for (uint64_t next = kCapacity + 1; next < 100 * kCapacity; ++next) {
+    map.Emplace(next);
+    ASSERT_TRUE(map.Erase(oldest++));
+  }
+  EXPECT_EQ(map.MemoryBytes(), reserved_bytes);
+  map.CheckInvariants();
+}
+
 TEST(FlatMapTest, GrowPreservesAllEntries) {
   FlatMap<uint64_t> map;  // no Reserve: force repeated doubling
   constexpr uint64_t kCount = 10000;

@@ -1,13 +1,13 @@
-// MpscRing / InsertBuffers: bounded-queue semantics, FIFO order per
-// producer, and multi-producer stress where no pushed value may be lost or
-// duplicated (run under the tsan preset too; see docs/TESTING.md).
+// MpscRing, each eviction domain's insert ring: bounded-queue semantics,
+// FIFO order per producer, and multi-producer stress where no pushed value
+// may be lost or duplicated (run under the tsan preset too; see
+// docs/TESTING.md).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/concurrent/mpsc_ring.h"
@@ -116,23 +116,6 @@ TEST(MpscRingTest, MultiProducerNoLossNoDuplication) {
   // On a single core a producer's whole loop can land in one timeslice with
   // the ring full (zero accepted), so only the total is guaranteed nonzero.
   EXPECT_GT(total_popped, 0u);
-}
-
-TEST(InsertBuffersTest, DrainReturnsEverythingPushed) {
-  InsertBuffers buffers(/*num_rings=*/4, /*ring_capacity=*/16);
-  std::unordered_map<uint64_t, int> pushed;
-  for (uint64_t id = 0; id < 16; ++id) {
-    if (buffers.TryPush(id)) {
-      ++pushed[id];
-    }
-  }
-  ASSERT_FALSE(pushed.empty());
-  std::unordered_map<uint64_t, int> drained;
-  const size_t count = buffers.Drain([&](uint64_t id) { ++drained[id]; });
-  EXPECT_EQ(count, pushed.size());
-  EXPECT_EQ(drained, pushed);
-  EXPECT_EQ(buffers.Drain([](uint64_t) {}), 0u);
-  EXPECT_GT(buffers.MemoryBytes(), 0u);
 }
 
 }  // namespace

@@ -236,11 +236,12 @@ TEST(ShardDomainsTest, ShardSelectionIsStableAndInRange) {
 }
 
 // The drain protocol (domain_cache.h): a Get that finds its domain locked
-// buffers the id and then bumps `pending`; a drain claims `pending` before
-// popping and skips the rings when it claimed nothing. Racing misses end
-// each episode, and at that quiescent point CheckInvariants requires every
-// domain's buffers empty after its drain — an id pushed but left behind
-// by a drain that reset the count would stay there.
+// pushes the id into the domain's one ring and then bumps `pending`; a
+// drain claims `pending` before popping and skips the ring when it claimed
+// nothing. Racing misses end each episode, and at that quiescent point
+// CheckInvariants requires every domain's ring empty after its drain — an
+// id pushed but left behind by a drain that reset the count would stay
+// there.
 TEST(ShardDomainsTest, BufferedMissesAreNeverStranded) {
   constexpr int kThreads = 4;
   constexpr int kEpisodes = 40;
